@@ -20,7 +20,8 @@
 //! demanded by `--require-serve`) the `serve` section: ordered latency
 //! percentiles, positive throughput and goodput, the degradation
 //! accounting identity `completed + rejected + failed + shed + timed_out
-//! == offered`, and a `true` batched-vs-sequential bit-identity verdict
+//! == offered`, stream checksums written as 16-digit hex strings (a JSON
+//! number would round them), and a `true` batched-vs-sequential bit-identity verdict
 //! for every variant — the serve-smoke and serve-chaos CI jobs' pass
 //! condition.
 //!
@@ -46,6 +47,17 @@ fn require_num(obj: &Json, section: &str, key: &str) -> f64 {
     match obj.get(key).and_then(lrd_trace::json::Json::as_num) {
         Some(n) => n,
         None => fail(&format!("{section}.{key} missing or not a finite number")),
+    }
+}
+
+/// A full-width `u64` written as 16 lowercase hex digits — the only form
+/// that survives a JSON document unrounded.
+fn require_hex(obj: &Json, section: &str, key: &str) -> u64 {
+    match obj.get(key).and_then(Json::as_hex) {
+        Some(n) => n,
+        None => fail(&format!(
+            "{section}.{key} missing or not a 16-digit hex string (a JSON number would round it)"
+        )),
     }
 }
 
@@ -158,7 +170,7 @@ fn check_serve_run(run: &Json, section: &str) {
              not positive"
         ));
     }
-    require_num(run, section, "stream_checksum");
+    require_hex(run, section, "stream_checksum");
 }
 
 /// Validates the optional v4 `serve` section.

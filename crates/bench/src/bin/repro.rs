@@ -833,7 +833,7 @@ fn cmd_decode(args: &Args) {
 /// plane completes that the batched one does not must be accounted for by
 /// a permanent shed (failures and timeouts are session-local, so those
 /// sets agree across planes by construction).
-fn cmd_serve(args: &Args) -> lrd_trace::json::Json {
+fn cmd_serve(args: &Args) -> Result<lrd_trace::json::Json, lrd_trace::json::InexactUint> {
     use lrd_serve::{
         generate, serve, serve_sequential, ServeConfig, SessionFate, TrafficConfig, STALL_STEPS,
     };
@@ -977,43 +977,52 @@ fn cmd_serve(args: &Args) -> lrd_trace::json::Json {
         json_variants.push(Json::obj([
             ("label", Json::str(label.clone())),
             ("reduction_pct", Json::num(round2(*reduction))),
-            ("batched", b.to_json()),
-            ("sequential", sequential.report.to_json()),
+            ("batched", b.to_json()?),
+            ("sequential", sequential.report.to_json()?),
             ("speedup", Json::num(round2(speedup))),
             ("bit_identical", Json::Bool(bit_identical)),
         ]));
     }
     print!("{}", render_table(&headers, &rows));
     write_csv("serve.csv", &headers, &rows);
-    Json::obj([
-        ("sessions", Json::uint(args.sessions as u64)),
-        ("trace_seed", Json::uint(TRACE_SEED)),
-        ("max_batch", Json::uint(serve_cfg.max_batch as u64)),
+    Ok(Json::obj([
+        ("sessions", Json::try_uint(args.sessions as u64)?),
+        ("trace_seed", Json::try_uint(TRACE_SEED)?),
+        ("max_batch", Json::try_uint(serve_cfg.max_batch as u64)?),
         ("faults_active", Json::Bool(chaos)),
         ("deadline_steps", {
             // u64::MAX does not survive the f64-backed JSON number; encode
             // "off" as 0 (a real deadline is always ≥ 1).
             let d = if chaos { serve_cfg.deadline_steps } else { 0 };
-            Json::uint(d)
+            Json::try_uint(d)?
         }),
         (
             "shed_high_water",
-            Json::uint(if chaos {
+            Json::try_uint(if chaos {
                 serve_cfg.shed_high_water as u64
             } else {
                 0
-            }),
+            })?,
         ),
         (
             "max_admit_per_step",
-            Json::uint(if chaos {
+            Json::try_uint(if chaos {
                 serve_cfg.max_admit_per_step as u64
             } else {
                 0
-            }),
+            })?,
         ),
         ("variants", Json::Arr(json_variants)),
-    ])
+    ]))
+}
+
+/// [`cmd_serve`]'s suite section; a count the JSON document would round
+/// ends the run with status 1.
+fn serve_section_or_exit(args: &Args) -> lrd_trace::json::Json {
+    cmd_serve(args).unwrap_or_else(|e| {
+        eprintln!("[repro] cannot record the serve section: {e}");
+        std::process::exit(1);
+    })
 }
 
 /// Compression-family ablation: rank-1 Tucker vs int8/int4 quantization vs
@@ -1423,63 +1432,69 @@ fn write_bench_suite(
     let backend = lrd_tensor::kernel::Backend::active();
     let kernels = kernel_gflops();
     let round2 = |g: f64| (g * 100.0).round() / 100.0;
-    let mut doc = Json::obj([
-        ("schema", Json::str(lrd_bench::SUITE_SCHEMA_NAME)),
-        (
-            "schema_version",
-            Json::uint(lrd_bench::SUITE_SCHEMA_VERSION),
-        ),
-        ("command", Json::str(args.command.clone())),
-        ("wall_s", Json::num((wall_s * 1000.0).round() / 1000.0)),
-        ("workers", Json::uint(args.workers as u64)),
-        ("samples", Json::uint(args.samples as u64)),
-        ("steps", Json::uint(args.steps as u64)),
-        (
-            "cache",
-            Json::obj([
-                ("hits", Json::uint(agg.hits as u64)),
-                ("misses", Json::uint(agg.misses as u64)),
-                ("hit_rate", Json::num(round2(agg.hit_rate()))),
-                ("distinct_factors", Json::uint(agg.factors as u64)),
-            ]),
-        ),
-        ("kernel_backend", Json::str(backend.name())),
-        (
-            "kernel_dtype",
-            Json::str(lrd_tensor::dtype::KernelDtype::active().name()),
-        ),
-        (
-            "kernel_gflops",
-            Json::Obj(
-                kernels
-                    .iter()
-                    .map(|(dtype, group)| {
-                        (
-                            dtype.to_string(),
-                            Json::Obj(
-                                group
-                                    .iter()
-                                    .map(|(name, g)| (name.to_string(), Json::num(round2(*g))))
-                                    .collect(),
-                            ),
-                        )
-                    })
-                    .collect(),
+    let doc = || -> Result<Json, lrd_trace::json::InexactUint> {
+        let mut doc = Json::obj([
+            ("schema", Json::str(lrd_bench::SUITE_SCHEMA_NAME)),
+            (
+                "schema_version",
+                Json::try_uint(lrd_bench::SUITE_SCHEMA_VERSION)?,
             ),
-        ),
-        (
-            "gemm_bytes_packed",
-            Json::uint(lrd_trace::counters::get(
-                lrd_trace::counters::Counter::GemmBytesPacked,
-            )),
-        ),
-    ]);
-    // v3: the `serve` command appends its measured serving percentiles;
-    // every other command writes the suite without the section.
-    if let (Some(section), Json::Obj(pairs)) = (serve, &mut doc) {
-        pairs.push(("serve".into(), section));
-    }
-    match std::fs::write("BENCH_suite.json", doc.render()) {
+            ("command", Json::str(args.command.clone())),
+            ("wall_s", Json::num((wall_s * 1000.0).round() / 1000.0)),
+            ("workers", Json::try_uint(args.workers as u64)?),
+            ("samples", Json::try_uint(args.samples as u64)?),
+            ("steps", Json::try_uint(args.steps as u64)?),
+            (
+                "cache",
+                Json::obj([
+                    ("hits", Json::try_uint(agg.hits as u64)?),
+                    ("misses", Json::try_uint(agg.misses as u64)?),
+                    ("hit_rate", Json::num(round2(agg.hit_rate()))),
+                    ("distinct_factors", Json::try_uint(agg.factors as u64)?),
+                ]),
+            ),
+            ("kernel_backend", Json::str(backend.name())),
+            (
+                "kernel_dtype",
+                Json::str(lrd_tensor::dtype::KernelDtype::active().name()),
+            ),
+            (
+                "kernel_gflops",
+                Json::Obj(
+                    kernels
+                        .iter()
+                        .map(|(dtype, group)| {
+                            (
+                                dtype.to_string(),
+                                Json::Obj(
+                                    group
+                                        .iter()
+                                        .map(|(name, g)| (name.to_string(), Json::num(round2(*g))))
+                                        .collect(),
+                                ),
+                            )
+                        })
+                        .collect(),
+                ),
+            ),
+            (
+                "gemm_bytes_packed",
+                Json::try_uint(lrd_trace::counters::get(
+                    lrd_trace::counters::Counter::GemmBytesPacked,
+                ))?,
+            ),
+        ]);
+        // v3: the `serve` command appends its measured serving percentiles;
+        // every other command writes the suite without the section.
+        if let (Some(section), Json::Obj(pairs)) = (serve, &mut doc) {
+            pairs.push(("serve".into(), section));
+        }
+        Ok(doc)
+    };
+    let written = doc()
+        .map_err(std::io::Error::other)
+        .and_then(|doc| std::fs::write("BENCH_suite.json", doc.render()));
+    match written {
         Ok(()) => eprintln!(
             "[repro] wrote BENCH_suite.json (wall {wall_s:.1}s, cache hit rate {:.0}%)",
             agg.hit_rate() * 100.0
@@ -1577,7 +1592,7 @@ fn main() {
         "table4" => cmd_table4(),
         "fig10" | "fig11" | "fig12" => cmd_efficiency(&args, &args.command),
         "decode" => cmd_decode(&args),
-        "serve" => serve_section = Some(cmd_serve(&args)),
+        "serve" => serve_section = Some(serve_section_or_exit(&args)),
         "bert" => agg.add(cmd_bert(&args, journal.as_ref())),
         "all" => {
             cmd_table1();
@@ -1597,7 +1612,7 @@ fn main() {
             cmd_efficiency(&args, "fig10");
             agg.add(cmd_bert(&args, journal.as_ref()));
             cmd_recovery(&args, &exec);
-            serve_section = Some(cmd_serve(&args));
+            serve_section = Some(serve_section_or_exit(&args));
             agg.add_exec(&exec);
         }
         cmd @ ("train" | "fig3" | "fig5" | "fig6" | "fig7" | "fig8" | "fig9" | "spectra"

@@ -38,7 +38,7 @@ use crate::space::DecompositionConfig;
 use crate::study::{DynBenchmark, StudyPoint};
 use lrd_eval::harness::EvalOptions;
 use lrd_eval::Accuracy;
-use lrd_trace::json::{self, Json};
+use lrd_trace::json::{self, InexactUint, Json};
 use std::collections::HashMap;
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -209,40 +209,43 @@ impl JournalRecord {
     }
 
     /// Renders the record as one compact JSONL line (no trailing newline).
-    pub fn to_line(&self) -> String {
-        let usize_arr = |v: &[usize]| Json::Arr(v.iter().map(|&x| Json::uint(x as u64)).collect());
-        Json::obj([
+    ///
+    /// # Errors
+    ///
+    /// [`InexactUint`] if a count is above 2⁵³.
+    pub fn to_line(&self) -> Result<String, InexactUint> {
+        let usize_arr = |v: &[usize]| -> Result<Json, InexactUint> {
+            v.iter()
+                .map(|&x| Json::try_uint(x as u64))
+                .collect::<Result<_, _>>()
+                .map(Json::Arr)
+        };
+        let results = self
+            .results
+            .iter()
+            .map(|(name, correct, total)| {
+                Ok(Json::Arr(vec![
+                    Json::str(name.clone()),
+                    Json::try_uint(*correct)?,
+                    Json::try_uint(*total)?,
+                ]))
+            })
+            .collect::<Result<_, InexactUint>>()?;
+        Ok(Json::obj([
             ("schema", Json::str(SCHEMA_NAME)),
-            ("schema_version", Json::uint(SCHEMA_VERSION)),
+            ("schema_version", Json::try_uint(SCHEMA_VERSION)?),
             ("figure", Json::str(self.figure.clone())),
-            (
-                "fingerprint",
-                Json::str(format!("{:016x}", self.fingerprint)),
-            ),
+            ("fingerprint", Json::hex(self.fingerprint)),
             (
                 "status",
                 Json::str(if self.error.is_some() { "failed" } else { "ok" }),
             ),
             ("label", Json::str(self.label.clone())),
-            ("rank", Json::uint(self.rank as u64)),
-            ("layers", usize_arr(&self.layers)),
-            ("tensors", usize_arr(&self.tensors)),
+            ("rank", Json::try_uint(self.rank as u64)?),
+            ("layers", usize_arr(&self.layers)?),
+            ("tensors", usize_arr(&self.tensors)?),
             ("param_reduction_pct", Json::Num(self.param_reduction_pct)),
-            (
-                "results",
-                Json::Arr(
-                    self.results
-                        .iter()
-                        .map(|(name, correct, total)| {
-                            Json::Arr(vec![
-                                Json::str(name.clone()),
-                                Json::uint(*correct),
-                                Json::uint(*total),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
+            ("results", Json::Arr(results)),
             (
                 "error",
                 match &self.error {
@@ -250,9 +253,9 @@ impl JournalRecord {
                     None => Json::Null,
                 },
             ),
-            ("retries", Json::uint(u64::from(self.retries))),
+            ("retries", Json::try_uint(u64::from(self.retries))?),
         ])
-        .render_compact()
+        .render_compact())
     }
 
     /// Parses one JSONL line back into a record.
@@ -273,9 +276,10 @@ impl JournalRecord {
                 "schema_version {version}, expected {SCHEMA_VERSION}"
             ));
         }
-        let fp_hex = field_str(&doc, "fingerprint")?;
-        let fingerprint = u64::from_str_radix(&fp_hex, 16)
-            .map_err(|_| format!("fingerprint {fp_hex:?} is not hex"))?;
+        let fingerprint = doc
+            .get("fingerprint")
+            .and_then(Json::as_hex)
+            .ok_or("field \"fingerprint\" is not 16 hex digits")?;
         let error = match doc.get("error") {
             Some(Json::Null) | None => None,
             Some(Json::Str(s)) => Some(s.clone()),
@@ -510,11 +514,14 @@ impl Journal {
     ///
     /// # Errors
     ///
-    /// Propagates the filesystem error; the in-memory copy is *not*
-    /// updated on failure, keeping memory and disk consistent.
+    /// Propagates the filesystem error, and a count above 2⁵³ as
+    /// `InvalidData`; the in-memory copy is *not* updated on failure,
+    /// keeping memory and disk consistent.
     pub fn append(&self, record: JournalRecord) -> std::io::Result<()> {
         let mut inner = self.lock();
-        let line = record.to_line();
+        let line = record
+            .to_line()
+            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
         persist_lines(
             &self.path,
             inner.lines.iter().map(String::as_str),
@@ -610,13 +617,16 @@ impl Journal {
             }
         }
         report.records = merged.len();
-        let lines: Vec<String> = merged.iter().map(JournalRecord::to_line).collect();
-        persist_lines(&out, lines.iter().map(String::as_str), None).map_err(|source| {
-            MergeError::Io {
-                path: out.clone(),
-                source,
-            }
-        })?;
+        let io_err = |source| MergeError::Io {
+            path: out.clone(),
+            source,
+        };
+        let lines: Vec<String> = merged
+            .iter()
+            .map(JournalRecord::to_line)
+            .collect::<Result<_, _>>()
+            .map_err(|e| io_err(std::io::Error::new(std::io::ErrorKind::InvalidData, e)))?;
+        persist_lines(&out, lines.iter().map(String::as_str), None).map_err(io_err)?;
         lrd_trace::counters::add(
             lrd_trace::Counter::JournalRecordsMerged,
             merged.len() as u64,
@@ -840,7 +850,7 @@ mod tests {
     fn record_round_trips_bit_identically() {
         let point = sample_point();
         let record = JournalRecord::from_point("fig9", 0xdead_beef_cafe_f00d, &point);
-        let line = record.to_line();
+        let line = record.to_line().unwrap();
         assert!(!line.contains('\n'), "JSONL record must be one line");
         let back = JournalRecord::parse_line(&line).expect("parses");
         assert_eq!(back, record);
@@ -859,8 +869,8 @@ mod tests {
         point.results.clear();
         point.error = Some("svd (injected fault) did not converge".into());
         let record = JournalRecord::from_point("fig3", 7, &point);
-        assert!(record.to_line().contains("\"status\":\"failed\""));
-        let back = JournalRecord::parse_line(&record.to_line()).unwrap();
+        assert!(record.to_line().unwrap().contains("\"status\":\"failed\""));
+        let back = JournalRecord::parse_line(&record.to_line().unwrap()).unwrap();
         assert_eq!(back.to_point(&benches()).unwrap(), point);
     }
 

@@ -156,7 +156,7 @@ pub fn parse_items(tokens: &[Token]) -> ParsedFile {
         }
         if t.is_punct('}') {
             depth = depth.saturating_sub(1);
-            while type_stack.last().is_some_and(|(_, d)| *d >= depth + 1) {
+            while type_stack.last().is_some_and(|(_, d)| *d > depth) {
                 type_stack.pop();
             }
             i += 1;
@@ -584,7 +584,11 @@ mod tests {
         );
         assert_eq!(p.consts[0].name, "V");
         assert_eq!(p.uses[0].segments, vec!["std", "collections", "HashMap"]);
-        let vars: Vec<&str> = p.enums[0].variants.iter().map(|(v, _)| v.as_str()).collect();
+        let vars: Vec<&str> = p.enums[0]
+            .variants
+            .iter()
+            .map(|(v, _)| v.as_str())
+            .collect();
         assert_eq!(vars, vec!["A", "B", "C"]);
     }
 

@@ -79,9 +79,10 @@ fn injected_undocumented_counter_is_named() {
     ws.design_md = Some(pruned);
     let report = run(&ws);
     assert!(
-        report.findings.iter().any(|f| {
-            f.lint == "counter-hygiene-v2" && f.message.contains("svd_jacobi_calls")
-        }),
+        report
+            .findings
+            .iter()
+            .any(|f| { f.lint == "counter-hygiene-v2" && f.message.contains("svd_jacobi_calls") }),
         "undocumented counter was not caught"
     );
 }

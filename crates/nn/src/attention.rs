@@ -11,22 +11,29 @@ use crate::decode::DecodeError;
 use crate::linear::{AnyLinear, AnyLinearCache};
 use crate::param::Param;
 use crate::rope::Rope;
+use lrd_tensor::kernel::{self, Backend};
 use lrd_tensor::matmul::{matmul, matmul_transa, matmul_transb};
 use lrd_tensor::rng::Rng64;
 use lrd_tensor::Tensor;
 
 /// Per-layer key/value cache for incremental decoding of one session.
 ///
-/// Storage is a pair of flat `f32` buffers (keys post-RoPE, values) whose
-/// full `max_seq · width` capacity is reserved up front, so appending a
-/// token in the serving hot loop never reallocates, and a session can
-/// never grow past its hard `max_seq` bound — [`KvCache::push`] returns a
-/// typed error instead.
+/// Storage is a pair of flat `f32` buffers allocated at their full
+/// `max_seq · width` size up front, so appending a token in the serving
+/// hot loop never reallocates — clones included, since a clone copies the
+/// whole buffer — and a session can never grow past its hard `max_seq`
+/// bound: [`KvCache::push`] returns a typed error instead.
+///
+/// Keys (post-RoPE) are stored column-major: element `j` of position
+/// `t`'s key row lives at `k[j · max_seq + t]`, so one key dimension over
+/// every cached position is contiguous and the score kernel runs across
+/// positions in SIMD lanes. Values stay row-major (`v[t · width + j]`),
+/// the layout the weighted sum runs across in lanes.
 #[derive(Debug, Clone, PartialEq)]
 pub struct KvCache {
-    /// Cached key rows, flattened; each row is `width` wide.
+    /// Cached keys, column-major `width × max_seq`.
     k: Vec<f32>,
-    /// Cached value rows, flattened.
+    /// Cached value rows, row-major `max_seq × width`.
     v: Vec<f32>,
     /// Row width, `n_kv_heads · head_dim`.
     width: usize,
@@ -38,11 +45,11 @@ pub struct KvCache {
 
 impl KvCache {
     /// An empty cache bounded at `max_seq` positions of `width`-wide rows,
-    /// with the full capacity reserved immediately.
+    /// with its full storage allocated immediately.
     pub fn with_bounds(max_seq: usize, width: usize) -> Self {
         KvCache {
-            k: Vec::with_capacity(max_seq * width),
-            v: Vec::with_capacity(max_seq * width),
+            k: vec![0.0; max_seq * width],
+            v: vec![0.0; max_seq * width],
             width,
             max_seq,
             len: 0,
@@ -86,20 +93,60 @@ impl KvCache {
                 });
             }
         }
-        self.k.extend_from_slice(k);
-        self.v.extend_from_slice(v);
+        let t = self.len;
+        for (j, &kj) in k.iter().enumerate() {
+            self.k[j * self.max_seq + t] = kj;
+        }
+        self.v[t * self.width..(t + 1) * self.width].copy_from_slice(v);
         self.len += 1;
         Ok(())
     }
 
-    fn key_slice(&self, t: usize, kv_head: usize, head_dim: usize) -> &[f32] {
-        let base = t * self.width + kv_head * head_dim;
-        &self.k[base..base + head_dim]
+    /// The key block of KV head `kv_head`: `head_dim` column-major rows
+    /// of stride `max_seq`, one per key dimension.
+    fn keys(&self, kv_head: usize, head_dim: usize) -> &[f32] {
+        &self.k[kv_head * head_dim * self.max_seq..]
     }
 
+    /// The value block of KV head `kv_head`: rows of stride `width`
+    /// starting at the head's first column.
+    fn values(&self, kv_head: usize, head_dim: usize) -> &[f32] {
+        &self.v[kv_head * head_dim..]
+    }
+
+    /// The storage addresses of the two buffers.
+    #[cfg(test)]
+    pub(crate) fn buffer_ptrs(&self) -> [*const f32; 2] {
+        [self.k.as_ptr(), self.v.as_ptr()]
+    }
+
+    /// Position `t`'s key row for one KV head, gathered from the
+    /// column-major store.
+    #[cfg(test)]
+    fn key_row(&self, t: usize, kv_head: usize, head_dim: usize) -> Vec<f32> {
+        (0..head_dim)
+            .map(|d| self.k[(kv_head * head_dim + d) * self.max_seq + t])
+            .collect()
+    }
+
+    /// Position `t`'s value row for one KV head.
+    #[cfg(test)]
     fn value_slice(&self, t: usize, kv_head: usize, head_dim: usize) -> &[f32] {
         let base = t * self.width + kv_head * head_dim;
         &self.v[base..base + head_dim]
+    }
+}
+
+/// `scores ← softmax(scores)` with `f32::exp`, normalized by division.
+fn softmax_in_place(scores: &mut [f32]) {
+    let max = scores.iter().fold(f32::NEG_INFINITY, |a, &b| a.max(b));
+    let mut sum = 0.0f32;
+    for s in scores.iter_mut() {
+        *s = (*s - max).exp();
+        sum += *s;
+    }
+    for s in scores.iter_mut() {
+        *s /= sum;
     }
 }
 
@@ -314,9 +361,63 @@ impl MultiHeadAttention {
             cache.push(k.row(i), v.row(i))?;
         }
 
+        let ctx = self.attend(&q, caches);
+        Ok(self.wo.infer(&ctx))
+    }
+
+    /// The attention core of a decode step: row `i` of the result holds,
+    /// for every query head of session `i`, the softmax-weighted sum of
+    /// the session's cached values under the scaled scores of its query
+    /// row in `q` against the session's cached keys.
+    ///
+    /// Scores run across cached positions in SIMD lanes over the
+    /// column-major keys, and the value sum keeps 8 outputs per register
+    /// across positions; one scores buffer serves every (session, head).
+    /// Every element keeps the accumulation order of the scalar loop
+    /// (`attend_oracle`) — multiply then add, no FMA, same `f32::exp`
+    /// softmax — so the result is bit-identical to it on every backend.
+    fn attend(&self, q: &Tensor, caches: &[&mut KvCache]) -> Tensor {
+        let backend = Backend::active();
+        let hd = self.head_dim;
+        let scale = 1.0 / (hd as f32).sqrt();
+        let group = self.n_heads / self.n_kv_heads;
+        let mut ctx = Tensor::zeros(&[caches.len(), self.n_heads * hd]);
+        let longest = caches.iter().map(|c| c.len()).max().unwrap_or(0);
+        let mut buf = vec![0.0f32; longest];
+        for (i, cache) in caches.iter().enumerate() {
+            let scores = &mut buf[..cache.len()];
+            let ctx_row = ctx.row_mut(i);
+            for h in 0..self.n_heads {
+                let kv_h = h / group;
+                let qh = &q.row(i)[h * hd..(h + 1) * hd];
+                kernel::attn_scores(
+                    backend,
+                    qh,
+                    cache.keys(kv_h, hd),
+                    cache.max_seq,
+                    scale,
+                    scores,
+                );
+                softmax_in_place(scores);
+                kernel::attn_weighted_sum(
+                    backend,
+                    scores,
+                    cache.values(kv_h, hd),
+                    cache.width,
+                    &mut ctx_row[h * hd..(h + 1) * hd],
+                );
+            }
+        }
+        ctx
+    }
+
+    /// The scalar attention loop [`MultiHeadAttention::attend`] must match
+    /// bit for bit.
+    #[cfg(test)]
+    fn attend_oracle(&self, q: &Tensor, caches: &[&mut KvCache]) -> Tensor {
         let scale = 1.0 / (self.head_dim as f32).sqrt();
         let group = self.n_heads / self.n_kv_heads;
-        let mut ctx = Tensor::zeros(&[s_count, self.n_heads * self.head_dim]);
+        let mut ctx = Tensor::zeros(&[caches.len(), self.n_heads * self.head_dim]);
         for (i, cache) in caches.iter().enumerate() {
             let ctx_len = cache.len();
             for h in 0..self.n_heads {
@@ -325,8 +426,8 @@ impl MultiHeadAttention {
                 // Scores against every cached key of this session.
                 let mut scores = Vec::with_capacity(ctx_len);
                 for t in 0..ctx_len {
-                    let kh = cache.key_slice(t, kv_h, self.head_dim);
-                    let dot: f32 = qh.iter().zip(kh).map(|(&a, &b)| a * b).sum();
+                    let kh = cache.key_row(t, kv_h, self.head_dim);
+                    let dot: f32 = qh.iter().zip(&kh).map(|(&a, &b)| a * b).sum();
                     scores.push(dot * scale);
                 }
                 // Softmax.
@@ -349,7 +450,7 @@ impl MultiHeadAttention {
                 }
             }
         }
-        Ok(self.wo.infer(&ctx))
+        ctx
     }
 
     /// Forward pass over `x ((B·T) × d)` laid out batch-major.
@@ -684,6 +785,92 @@ mod tests {
                 "dWq[{i}]: {} vs {fd}",
                 grads[i]
             );
+        }
+    }
+
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.data().iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Drives `sessions` caches of one attention geometry from empty to
+    /// full with seeded random rows — session `i` starts `i % 3` rows ahead
+    /// — and after every step checks the SIMD core against the scalar
+    /// oracle bit for bit on a fresh random query batch. Every context
+    /// length from 1 to `max_seq` is checked.
+    fn check_attend_against_oracle(
+        head_dim: usize,
+        n_heads: usize,
+        n_kv_heads: usize,
+        max_seq: usize,
+        sessions: usize,
+        magnitude: f32,
+        seed: u64,
+    ) {
+        let mut rng = Rng64::new(seed);
+        let a = MultiHeadAttention::new(
+            n_heads * head_dim,
+            n_heads,
+            n_kv_heads,
+            max_seq,
+            true,
+            false,
+            false,
+            &mut rng,
+        );
+        let width = n_kv_heads * head_dim;
+        let mut caches: Vec<KvCache> = (0..sessions)
+            .map(|_| KvCache::with_bounds(max_seq, width))
+            .collect();
+        let row = |rng: &mut Rng64| Tensor::randn_scaled(&[width], magnitude, rng);
+        for (i, c) in caches.iter_mut().enumerate() {
+            for _ in 0..(i % 3).min(max_seq - 1) {
+                let (k, v) = (row(&mut rng), row(&mut rng));
+                c.push(k.data(), v.data()).unwrap();
+            }
+        }
+        let mut seen = vec![false; max_seq + 1];
+        while caches.iter().any(|c| c.len() < max_seq) {
+            for c in caches.iter_mut().filter(|c| c.len() < max_seq) {
+                let (k, v) = (row(&mut rng), row(&mut rng));
+                c.push(k.data(), v.data()).unwrap();
+                seen[c.len()] = true;
+            }
+            let q = Tensor::randn_scaled(&[sessions, n_heads * head_dim], magnitude, &mut rng);
+            let refs: Vec<&mut KvCache> = caches.iter_mut().collect();
+            assert_eq!(
+                bits(&a.attend(&q, &refs)),
+                bits(&a.attend_oracle(&q, &refs)),
+                "hd {head_dim}, heads {n_heads}/{n_kv_heads}, max_seq {max_seq}, \
+                 {sessions} sessions, lengths {:?}",
+                refs.iter().map(|c| c.len()).collect::<Vec<_>>()
+            );
+        }
+        assert!(seen[1..].iter().all(|&s| s), "every context length checked");
+    }
+
+    #[test]
+    fn attend_matches_oracle_at_ragged_head_dims_and_gqa() {
+        for (hd, heads, kv) in [(3, 2, 2), (10, 4, 4), (17, 3, 1), (8, 4, 2), (10, 6, 3)] {
+            check_attend_against_oracle(hd, heads, kv, 20, 5, 1.0, hd as u64);
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn attend_is_bit_identical_to_the_scalar_oracle(
+            hd in 1usize..=18,
+            kv in 1usize..=3,
+            group in 1usize..=3,
+            max_seq in 1usize..=40,
+            sessions in 1usize..=33,
+            magnitude_pick in 0usize..3,
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            // Magnitudes from near-uniform softmax to saturated scores.
+            let magnitude = [0.05f32, 1.0, 12.0][magnitude_pick];
+            check_attend_against_oracle(hd, kv * group, kv, max_seq, sessions, magnitude, seed);
         }
     }
 

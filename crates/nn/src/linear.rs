@@ -8,7 +8,8 @@
 
 use crate::param::Param;
 use lrd_tensor::matmul::{
-    factored_matmul, factored_matmul_caches, matmul, matmul_transa, matmul_transb,
+    factored_matmul_caches, factored_matmul_prepacked, matmul, matmul_prepacked, matmul_transa,
+    matmul_transb,
 };
 use lrd_tensor::rng::Rng64;
 use lrd_tensor::tucker::Tucker2;
@@ -83,9 +84,11 @@ impl Linear {
         (y, LinearCache { x: x.clone() })
     }
 
-    /// Inference-only forward: no cache is built, so `x` is never cloned.
+    /// Inference-only forward: no cache is built, so `x` is never cloned,
+    /// and `W` is packed into GEMM panels once and reused until it is next
+    /// mutated. Bit-identical to [`Linear::forward`]'s output.
     pub fn infer(&self, x: &Tensor) -> Tensor {
-        let mut y = matmul(x, &self.w.value);
+        let mut y = matmul_prepacked(x, &self.w.value);
         if let Some(b) = &self.b {
             add_bias_rows(&mut y, b.value.data());
         }
@@ -199,9 +202,11 @@ impl FactoredLinear {
 
     /// Inference-only forward via the fused factored pipeline: the
     /// `h1`/`h2` intermediates stay in cache-blocked scratch inside the
-    /// engine and never materialize as tensors.
+    /// engine and never materialize as tensors, and the three factors are
+    /// packed once at the active panel dtype and reused until next
+    /// mutated.
     pub fn infer(&self, x: &Tensor) -> Tensor {
-        let mut y = factored_matmul(x, &self.u1.value, &self.core.value, &self.u2.value);
+        let mut y = factored_matmul_prepacked(x, &self.u1.value, &self.core.value, &self.u2.value);
         if let Some(b) = &self.b {
             add_bias_rows(&mut y, b.value.data());
         }

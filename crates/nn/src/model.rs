@@ -528,6 +528,7 @@ impl TransformerLm {
 mod tests {
     use super::*;
     use crate::act::cross_entropy;
+    use crate::attention::KvCache;
 
     fn tiny(kind: ArchKind, n_layers: usize) -> TransformerLm {
         let cfg = TransformerConfig {
@@ -768,6 +769,35 @@ mod tests {
                 "session {i} logits diverged"
             );
         }
+    }
+
+    #[test]
+    fn cloned_decode_state_never_reallocates() {
+        // A clone taken half way must own full-size buffers: decoding it
+        // to `max_seq` may not move any cache, and it continues exactly
+        // as the original does.
+        let m = tiny(ArchKind::Decoder, 2);
+        let max_seq = m.config().max_seq;
+        let mut original = m.new_decode_state();
+        for t in 0..max_seq / 2 {
+            m.decode_step(t % 16, &mut original).unwrap();
+        }
+        let mut clone = original.clone();
+        let ptrs = |s: &DecodeState| -> Vec<[*const f32; 2]> {
+            s.caches.iter().map(KvCache::buffer_ptrs).collect()
+        };
+        let at_clone = ptrs(&clone);
+        for t in max_seq / 2..max_seq {
+            let a = m.decode_step(t % 16, &mut original).unwrap();
+            let b = m.decode_step(t % 16, &mut clone).unwrap();
+            assert_eq!(a, b, "clone diverged at position {t}");
+            assert_eq!(ptrs(&clone), at_clone, "clone reallocated at position {t}");
+        }
+        assert_eq!(clone.len(), max_seq);
+        assert_eq!(
+            m.decode_step(1, &mut clone),
+            Err(DecodeError::CacheFull { max_seq })
+        );
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Serving run reports: latency percentiles, throughput, goodput, typed
 //! session fates, and a stream checksum for bit-identity comparisons.
 
-use lrd_trace::json::Json;
+use lrd_trace::json::{InexactUint, Json};
 use lrd_trace::HistogramSummary;
 
 /// The token stream one completed session produced.
@@ -145,32 +145,37 @@ pub struct ServeReport {
 
 impl ServeReport {
     /// The suite/metrics JSON shape of this report (`BENCH_suite.json`
-    /// schema v4 `serve.runs[]` entries).
-    pub fn to_json(&self) -> Json {
+    /// schema v4 `serve.runs[]` entries). The stream checksum is written
+    /// as 16 hex digits, since a JSON number would round it.
+    ///
+    /// # Errors
+    ///
+    /// [`InexactUint`] if a count is above 2⁵³.
+    pub fn to_json(&self) -> Result<Json, InexactUint> {
         let round3 = |v: f64| (v * 1000.0).round() / 1000.0;
-        Json::obj([
+        Ok(Json::obj([
             ("label", Json::str(self.label.clone())),
-            ("offered", Json::uint(self.offered)),
-            ("rejected", Json::uint(self.rejected)),
-            ("failed", Json::uint(self.failed)),
-            ("shed", Json::uint(self.shed)),
-            ("timed_out", Json::uint(self.timed_out)),
-            ("readmitted", Json::uint(self.readmitted)),
-            ("completed", Json::uint(self.completed)),
-            ("batches", Json::uint(self.batches)),
-            ("tokens", Json::uint(self.tokens)),
+            ("offered", Json::try_uint(self.offered)?),
+            ("rejected", Json::try_uint(self.rejected)?),
+            ("failed", Json::try_uint(self.failed)?),
+            ("shed", Json::try_uint(self.shed)?),
+            ("timed_out", Json::try_uint(self.timed_out)?),
+            ("readmitted", Json::try_uint(self.readmitted)?),
+            ("completed", Json::try_uint(self.completed)?),
+            ("batches", Json::try_uint(self.batches)?),
+            ("tokens", Json::try_uint(self.tokens)?),
             ("mean_batch", Json::num(round3(self.mean_batch))),
             ("wall_s", Json::num(round3(self.wall_s))),
             ("tokens_per_s", Json::num(round3(self.tokens_per_s))),
-            ("healthy_tokens", Json::uint(self.healthy_tokens)),
+            ("healthy_tokens", Json::try_uint(self.healthy_tokens)?),
             (
                 "goodput_tokens_per_s",
                 Json::num(round3(self.goodput_tokens_per_s)),
             ),
-            ("ttft_ms", self.ttft_ms.to_json()),
-            ("per_token_ms", self.per_token_ms.to_json()),
-            ("stream_checksum", Json::uint(self.stream_checksum)),
-        ])
+            ("ttft_ms", self.ttft_ms.to_json()?),
+            ("per_token_ms", self.per_token_ms.to_json()?),
+            ("stream_checksum", Json::hex(self.stream_checksum)),
+        ]))
     }
 }
 
@@ -245,9 +250,14 @@ mod tests {
             goodput_tokens_per_s: 50.0,
             ttft_ms: lrd_trace::Histogram::new().summary(),
             per_token_ms: lrd_trace::Histogram::new().summary(),
-            stream_checksum: 7,
+            stream_checksum: 0xcbf2_9ce4_8422_2325,
         };
-        let j = r.to_json();
+        let j = r.to_json().unwrap();
+        assert_eq!(
+            j.get("stream_checksum").and_then(Json::as_hex),
+            Some(0xcbf2_9ce4_8422_2325),
+            "the checksum survives the document exactly"
+        );
         assert_eq!(j.get("label").and_then(Json::as_str), Some("dense"));
         assert_eq!(j.get("tokens_per_s").and_then(Json::as_num), Some(60.0));
         assert_eq!(j.get("shed").and_then(Json::as_num), Some(1.0));

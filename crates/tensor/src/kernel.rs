@@ -551,6 +551,273 @@ unsafe fn axpy_avx2(alpha: f32, x: &[f32], y: &mut [f32]) {
     }
 }
 
+/// Attention scores of one query head against a column-major key block:
+/// `out[t] = (Σ_d q[d] · k[d·ldk + t]) · scale` for every `t < out.len()`,
+/// where column `t` of the block is the key of cached position `t`.
+///
+/// Each sum runs over `d` in increasing order from the first product, one
+/// multiply and one add per step and never an FMA — the value
+/// `q.iter().zip(key).map(|(a, b)| a * b).sum::<f32>()` has, since `f32`
+/// sums start from `-0.0`. The SIMD path puts 8 positions in the lanes of
+/// one vector, so every backend produces exactly those bits.
+///
+/// # Panics
+///
+/// Panics if `k` ends before `k[(q.len() - 1) · ldk + out.len() - 1]`.
+pub fn attn_scores(
+    backend: Backend,
+    q: &[f32],
+    k: &[f32],
+    ldk: usize,
+    scale: f32,
+    out: &mut [f32],
+) {
+    if out.is_empty() {
+        return;
+    }
+    if q.is_empty() {
+        out.fill(-0.0 * scale);
+        return;
+    }
+    assert!(
+        block_fits(q.len(), ldk, out.len(), k.len()),
+        "attn_scores: key block too short"
+    );
+    match backend {
+        Backend::Scalar => attn_scores_scalar(q, k, ldk, scale, out),
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: Avx2Fma is only ever constructed after runtime detection
+        // of AVX2, and the bound on `k` was checked above.
+        Backend::Avx2Fma => unsafe { attn_scores_avx2(q, k, ldk, scale, out) },
+        #[cfg(not(target_arch = "x86_64"))]
+        Backend::Avx2Fma => attn_scores_scalar(q, k, ldk, scale, out),
+    }
+}
+
+/// Whether `rows` rows of stride `ld`, read `width` wide, fit in `len`
+/// elements: `(rows - 1) · ld + width <= len`, without overflow. The SIMD
+/// attention kernels' memory safety rests on this check.
+fn block_fits(rows: usize, ld: usize, width: usize, len: usize) -> bool {
+    (rows - 1)
+        .checked_mul(ld)
+        .and_then(|start| start.checked_add(width))
+        .is_some_and(|end| end <= len)
+}
+
+/// Portable [`attn_scores`]: `out` accumulates every position's sum in
+/// the same `d` order as the SIMD lanes.
+fn attn_scores_scalar(q: &[f32], k: &[f32], ldk: usize, scale: f32, out: &mut [f32]) {
+    let n = out.len();
+    for (o, &kv) in out.iter_mut().zip(&k[..n]) {
+        *o = q[0] * kv;
+    }
+    for (d, &qd) in q.iter().enumerate().skip(1) {
+        for (o, &kv) in out.iter_mut().zip(&k[d * ldk..d * ldk + n]) {
+            *o += qd * kv;
+        }
+    }
+    for o in out {
+        *o *= scale;
+    }
+}
+
+/// AVX2 [`attn_scores`]: 8 positions per vector, the last partial group
+/// through masked loads and stores.
+///
+/// # Safety
+///
+/// Caller must ensure the CPU supports AVX2, `q` is non-empty, and
+/// `(q.len() - 1) · ldk + out.len() <= k.len()`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn attn_scores_avx2(q: &[f32], k: &[f32], ldk: usize, scale: f32, out: &mut [f32]) {
+    use core::arch::x86_64::*;
+    let n = out.len();
+    let full = n - n % 8;
+    // SAFETY: every load reads lanes `d·ldk + t .. d·ldk + t + 8` with
+    // `t + 8 <= n` (or masks off the lanes at or past `n`), which the
+    // caller's bound keeps inside `k`; stores stay inside `out` the same
+    // way.
+    unsafe {
+        let sv = _mm256_set1_ps(scale);
+        let kp = k.as_ptr();
+        let op = out.as_mut_ptr();
+        for t in (0..full).step_by(8) {
+            let acc = score_lanes::<false>(q, kp.add(t), ldk, _mm256_setzero_si256());
+            _mm256_storeu_ps(op.add(t), _mm256_mul_ps(acc, sv));
+        }
+        if full < n {
+            let mask = lane_mask(n - full);
+            let acc = score_lanes::<true>(q, kp.add(full), ldk, mask);
+            _mm256_maskstore_ps(op.add(full), mask, _mm256_mul_ps(acc, sv));
+        }
+    }
+}
+
+/// Unscaled scores of 8 consecutive positions whose first-row keys start
+/// at `kp`; with `MASKED`, only the lanes set in `mask` are loaded.
+///
+/// # Safety
+///
+/// AVX2 must be available and every loaded lane must lie inside the key
+/// block.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[inline]
+unsafe fn score_lanes<const MASKED: bool>(
+    q: &[f32],
+    kp: *const f32,
+    ldk: usize,
+    mask: core::arch::x86_64::__m256i,
+) -> core::arch::x86_64::__m256 {
+    use core::arch::x86_64::*;
+    // SAFETY: the caller guarantees every loaded lane is in bounds.
+    unsafe {
+        let mut acc = _mm256_setzero_ps();
+        for (d, &qd) in q.iter().enumerate() {
+            let row = kp.add(d * ldk);
+            let kv = if MASKED {
+                _mm256_maskload_ps(row, mask)
+            } else {
+                _mm256_loadu_ps(row)
+            };
+            let prod = _mm256_mul_ps(_mm256_set1_ps(qd), kv);
+            acc = if d == 0 {
+                prod
+            } else {
+                _mm256_add_ps(acc, prod)
+            };
+        }
+        acc
+    }
+}
+
+/// The mask of the first `live` (< 8) lanes.
+///
+/// # Safety
+///
+/// AVX2 must be available.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[inline]
+unsafe fn lane_mask(live: usize) -> core::arch::x86_64::__m256i {
+    use core::arch::x86_64::*;
+    _mm256_cmpgt_epi32(
+        _mm256_set1_epi32(live as i32),
+        _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7),
+    )
+}
+
+/// Probability-weighted sum of row-major value rows:
+/// `out[j] = Σ_t p[t] · v[t·ldv + j]` for every `j < out.len()`.
+///
+/// Each sum starts from `+0.0` and runs over `t` in increasing order, one
+/// multiply and one add per step and never an FMA — the bits of
+/// accumulating `*o += p[t] * v` into a zeroed row. The SIMD path keeps 8
+/// outputs in the lanes of one register across the whole `t` loop.
+///
+/// # Panics
+///
+/// Panics if `v` ends before `v[(p.len() - 1) · ldv + out.len() - 1]`.
+pub fn attn_weighted_sum(backend: Backend, p: &[f32], v: &[f32], ldv: usize, out: &mut [f32]) {
+    if out.is_empty() {
+        return;
+    }
+    if p.is_empty() {
+        out.fill(0.0);
+        return;
+    }
+    assert!(
+        block_fits(p.len(), ldv, out.len(), v.len()),
+        "attn_weighted_sum: value block too short"
+    );
+    match backend {
+        Backend::Scalar => attn_weighted_sum_scalar(p, v, ldv, out),
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: Avx2Fma is only ever constructed after runtime detection
+        // of AVX2, and the bound on `v` was checked above.
+        Backend::Avx2Fma => unsafe { attn_weighted_sum_avx2(p, v, ldv, out) },
+        #[cfg(not(target_arch = "x86_64"))]
+        Backend::Avx2Fma => attn_weighted_sum_scalar(p, v, ldv, out),
+    }
+}
+
+/// Portable [`attn_weighted_sum`].
+fn attn_weighted_sum_scalar(p: &[f32], v: &[f32], ldv: usize, out: &mut [f32]) {
+    let n = out.len();
+    out.fill(0.0);
+    for (t, &pt) in p.iter().enumerate() {
+        for (o, &vv) in out.iter_mut().zip(&v[t * ldv..t * ldv + n]) {
+            *o += pt * vv;
+        }
+    }
+}
+
+/// AVX2 [`attn_weighted_sum`]: one register of 8 outputs per pass over
+/// `t`, the last partial group through masked loads and stores.
+///
+/// # Safety
+///
+/// Caller must ensure the CPU supports AVX2, `p` is non-empty, and
+/// `(p.len() - 1) · ldv + out.len() <= v.len()`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn attn_weighted_sum_avx2(p: &[f32], v: &[f32], ldv: usize, out: &mut [f32]) {
+    use core::arch::x86_64::*;
+    let n = out.len();
+    // SAFETY: every load reads lanes `t·ldv + j .. t·ldv + j + 8` with
+    // `j + 8 <= n` (or masks off the lanes at or past `n`), which the
+    // caller's bound keeps inside `v`; stores stay inside `out` the same
+    // way.
+    unsafe {
+        let vp = v.as_ptr();
+        let op = out.as_mut_ptr();
+        let full = n - n % 8;
+        for j in (0..full).step_by(8) {
+            let acc = weighted_lanes::<false>(p, vp.add(j), ldv, _mm256_setzero_si256());
+            _mm256_storeu_ps(op.add(j), acc);
+        }
+        if full < n {
+            let mask = lane_mask(n - full);
+            let acc = weighted_lanes::<true>(p, vp.add(full), ldv, mask);
+            _mm256_maskstore_ps(op.add(full), mask, acc);
+        }
+    }
+}
+
+/// Weighted sums of 8 consecutive outputs whose first-row values start at
+/// `vp`; with `MASKED`, only the lanes set in `mask` are loaded.
+///
+/// # Safety
+///
+/// AVX2 must be available and every loaded lane must lie inside the value
+/// block.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[inline]
+unsafe fn weighted_lanes<const MASKED: bool>(
+    p: &[f32],
+    vp: *const f32,
+    ldv: usize,
+    mask: core::arch::x86_64::__m256i,
+) -> core::arch::x86_64::__m256 {
+    use core::arch::x86_64::*;
+    // SAFETY: the caller guarantees every loaded lane is in bounds.
+    unsafe {
+        let mut acc = _mm256_setzero_ps();
+        for (t, &pt) in p.iter().enumerate() {
+            let row = vp.add(t * ldv);
+            let vv = if MASKED {
+                _mm256_maskload_ps(row, mask)
+            } else {
+                _mm256_loadu_ps(row)
+            };
+            acc = _mm256_add_ps(acc, _mm256_mul_ps(_mm256_set1_ps(pt), vv));
+        }
+        acc
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -696,6 +963,71 @@ mod tests {
                 assert!((s - v).abs() <= 1e-5 * (1.0 + s.abs()));
             }
         }
+    }
+
+    /// The scalar loops `attn_scores`/`attn_weighted_sum` must reproduce.
+    fn attn_reference(q: &[f32], k: &[f32], ldk: usize, len: usize, scale: f32) -> Vec<u32> {
+        (0..len)
+            .map(|t| {
+                let dot: f32 = q
+                    .iter()
+                    .enumerate()
+                    .map(|(d, &qd)| qd * k[d * ldk + t])
+                    .sum();
+                (dot * scale).to_bits()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn attn_kernels_match_the_scalar_loops_bit_for_bit() {
+        let mut rng = crate::rng::Rng64::new(31);
+        let backends = [Some(Backend::Scalar), Backend::detect_simd()];
+        for hd in [1usize, 3, 8, 10, 17] {
+            for len in 0..=19usize {
+                let ldk = len + 3;
+                let k: Vec<f32> = (0..hd * ldk).map(|_| rng.gaussian() as f32).collect();
+                let q: Vec<f32> = (0..hd).map(|_| rng.gaussian() as f32).collect();
+                let ldv = hd + 5;
+                let v: Vec<f32> = (0..len.max(1) * ldv)
+                    .map(|_| rng.gaussian() as f32)
+                    .collect();
+                let p: Vec<f32> = (0..len).map(|_| rng.gaussian() as f32).collect();
+                let want_scores = attn_reference(&q, &k, ldk, len, 0.37);
+                let mut want_sum = vec![0.0f32; hd];
+                for (t, &pt) in p.iter().enumerate() {
+                    for (o, &vv) in want_sum.iter_mut().zip(&v[t * ldv..]) {
+                        *o += pt * vv;
+                    }
+                }
+                for backend in backends.into_iter().flatten() {
+                    let mut scores = vec![f32::NAN; len];
+                    attn_scores(backend, &q, &k, ldk, 0.37, &mut scores);
+                    let got: Vec<u32> = scores.iter().map(|x| x.to_bits()).collect();
+                    assert_eq!(got, want_scores, "{} hd {hd} len {len}", backend.name());
+                    let mut sum = vec![f32::NAN; hd];
+                    attn_weighted_sum(backend, &p, &v, ldv, &mut sum);
+                    let got: Vec<u32> = sum.iter().map(|x| x.to_bits()).collect();
+                    let want: Vec<u32> = want_sum.iter().map(|x| x.to_bits()).collect();
+                    assert_eq!(got, want, "{} hd {hd} len {len}", backend.name());
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "key block too short")]
+    fn attn_scores_rejects_a_stride_that_overflows() {
+        // `2 · ldk` wraps to 0, which an unchecked bound would accept.
+        let mut out = [0.0f32; 1];
+        attn_scores(
+            Backend::active(),
+            &[1.0; 3],
+            &[0.0; 4],
+            usize::MAX / 2 + 1,
+            1.0,
+            &mut out,
+        );
     }
 
     #[test]

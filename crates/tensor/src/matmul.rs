@@ -20,7 +20,9 @@ use crate::kernel::{self, Backend, MR, NR};
 use crate::pack::{pack_a, pack_b, pack_b_u16, packed_a_len, packed_b_len, MatRef};
 use crate::Tensor;
 use lrd_trace::counters::{self, record_gemm, record_gemm_typed, Counter, GemmVariant};
+use std::cell::RefCell;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock};
 
 /// Problems smaller than this many MACs run single-threaded.
 const PARALLEL_THRESHOLD: usize = 1 << 20;
@@ -306,6 +308,80 @@ pub fn matmul_with(backend: Backend, dtype: KernelDtype, a: &Tensor, b: &Tensor)
     c
 }
 
+/// [`matmul`] against `w`'s cached `f32` B panels: `w` is packed on the
+/// first call after it was built or last mutated, and later calls reuse
+/// the panels — the inference form of a static weight. The result is
+/// bit-identical to `matmul(x, w)`: the panels are the ones `matmul`
+/// would pack, visited in the same order, so every element accumulates in
+/// the same order. Only the one-time pack and the per-call A panels count
+/// toward `GemmBytesPacked`.
+///
+/// # Panics
+///
+/// Panics if the operands are not order-2 or the inner dimensions disagree.
+pub fn matmul_prepacked(x: &Tensor, w: &Tensor) -> Tensor {
+    let backend = Backend::active();
+    let (m, k) = (x.rows(), x.cols());
+    let (k2, n) = (w.rows(), w.cols());
+    assert_eq!(
+        k, k2,
+        "matmul_prepacked inner dimension mismatch: {m}×{k} · {k2}×{n}"
+    );
+    let dtype = KernelDtype::F32;
+    record_gemm_typed(
+        GemmVariant::Matmul,
+        backend.name(),
+        dtype.name(),
+        2 * (m * n * k) as u64,
+    );
+    let mut c = Tensor::zeros(&[m, n]);
+    prepacked_bands(
+        backend,
+        &MatRef::new(x.data(), m, k),
+        &w.packed_b(dtype),
+        c.data_mut(),
+    );
+    c
+}
+
+/// `matmul`'s row-band split against prepacked B panels: each band runs
+/// [`gemm_prepacked`] with its thread's A-panel buffer.
+fn prepacked_bands(backend: Backend, a: &MatRef, bp: &PrepackedB, c: &mut [f32]) {
+    let (m, k, n) = (a.rows(), bp.k, bp.n);
+    let run = |row0: usize, rows: usize, band: &mut [f32]| {
+        let bytes = SCRATCH.with(|cell| {
+            gemm_prepacked(
+                backend,
+                a,
+                row0,
+                rows,
+                bp,
+                band,
+                &mut cell.borrow_mut().apack,
+            )
+        });
+        counters::add(Counter::GemmBytesPacked, bytes);
+    };
+    let threads = thread_count(m * n * k, m);
+    if threads <= 1 {
+        run(0, m, c);
+        return;
+    }
+    let band = m.div_ceil(threads);
+    std::thread::scope(|scope| {
+        let mut rest = c;
+        let mut row0 = 0usize;
+        while row0 < m {
+            let rows = band.min(m - row0);
+            let (mine, tail) = rest.split_at_mut(rows * n);
+            rest = tail;
+            let run = &run;
+            scope.spawn(move || run(row0, rows, mine));
+            row0 += rows;
+        }
+    });
+}
+
 /// Computes `a · bᵀ` for `a (m×k)`, `b (n×k)` without materializing `bᵀ`
 /// (the transpose happens at pack time).
 ///
@@ -545,11 +621,11 @@ pub fn batched_matmul(a: &Tensor, b: &Tensor) -> Tensor {
 }
 
 /// A weight-side GEMM operand packed once into every `(jc, pc)` panel the
-/// blocked loop nest will touch, stored in loop order. The factored path
-/// packs its three tiny factor matrices once and reuses the panels for
-/// every row chunk of every worker, instead of re-packing per chunk the
-/// way the general driver must for arbitrary operands.
-struct PrepackedB {
+/// blocked loop nest will touch, stored in loop order. Weights pack once
+/// (see [`PanelCache`]) and every row chunk of every worker reuses the
+/// panels, instead of re-packing per call the way the general path must
+/// for arbitrary operands.
+pub(crate) struct PrepackedB {
     k: usize,
     n: usize,
     dtype: KernelDtype,
@@ -613,6 +689,54 @@ fn prepack_b(b: &MatRef, dtype: KernelDtype) -> PrepackedB {
     }
     counters::add(Counter::GemmBytesPacked, bytes_packed);
     packed
+}
+
+/// The lazily built B-panel form of one [`Tensor`].
+///
+/// A tensor owns its cache and drops it on every mutable access (see
+/// `Tensor::data_mut`), and assigning a new tensor replaces the cache with
+/// the values, so a packed form can never outlive the values it was
+/// packed from: the borrow checker enforces invalidation, not a calling
+/// convention. Clones share already-built panels through the `Arc`, so a
+/// cloned model re-packs only the weights it goes on to replace.
+///
+/// One storage dtype is cached, the first one requested: a dense weight
+/// is only ever multiplied at `f32` and a factor at the process's active
+/// dtype. A request at another dtype packs afresh without caching.
+#[derive(Clone, Default)]
+pub(crate) struct PanelCache(OnceLock<Arc<PrepackedB>>);
+
+impl PanelCache {
+    /// The panels of `b` at `dtype`, packed on first request.
+    pub(crate) fn get_or_pack(&self, b: &MatRef, dtype: KernelDtype) -> Arc<PrepackedB> {
+        let cached = self.0.get_or_init(|| Arc::new(prepack_b(b, dtype)));
+        if cached.dtype == dtype {
+            Arc::clone(cached)
+        } else {
+            Arc::new(prepack_b(b, dtype))
+        }
+    }
+}
+
+/// Per-thread buffers of the prepacked paths: the A panel and the fused
+/// factored path's two rank-`r` intermediates.
+struct BandScratch {
+    apack: Vec<f32>,
+    h1: Vec<f32>,
+    h2: Vec<f32>,
+}
+
+thread_local! {
+    // Persists across calls on each worker thread: a decode loop replaying
+    // prepacked weights every token would otherwise pay a ~`MC·KC`
+    // allocation and zero-fill per call.
+    static SCRATCH: RefCell<BandScratch> = const {
+        RefCell::new(BandScratch {
+            apack: Vec::new(),
+            h1: Vec::new(),
+            h2: Vec::new(),
+        })
+    };
 }
 
 /// [`gemm_block`] against a [`PrepackedB`]: identical loop nest and
@@ -682,18 +806,11 @@ fn factored_band(
     caches: Option<(&mut [f32], &mut [f32])>,
 ) {
     let (r1, r2, n) = (pu1.n, pcore.n, pu2.n);
-    // Packing and intermediate buffers persist across calls on each worker
-    // thread: a decode loop replaying one plan per token would otherwise
-    // pay a ~`MC·KC` allocation + zero-fill on every call.
-    thread_local! {
-        static SCRATCH: std::cell::RefCell<(Vec<f32>, Vec<f32>, Vec<f32>)> =
-            const { std::cell::RefCell::new((Vec::new(), Vec::new(), Vec::new())) };
-    }
     SCRATCH.with(|cell| {
         let mut guard = cell.borrow_mut();
-        let (apack, h1s, h2s) = &mut *guard;
+        let BandScratch { apack, h1, h2 } = &mut *guard;
         factored_band_with(
-            backend, x, row0, rows, pu1, pcore, pu2, y_band, caches, r1, r2, n, apack, h1s, h2s,
+            backend, x, row0, rows, pu1, pcore, pu2, y_band, caches, r1, r2, n, apack, h1, h2,
         );
     });
 }
@@ -767,22 +884,18 @@ fn factored_dims(x: &Tensor, u1: &Tensor, core: &Tensor, u2: &Tensor) -> [usize;
 /// This is the "pack tiny core/U panels once" half of the fused pipeline:
 /// building the plan pays the packing cost of `U1`/`Γ`/`U2` a single time,
 /// and every subsequent [`FactoredPlan::matmul`] streams activations
-/// through the prepacked panels. Deployment-style inference — static
-/// factors, many forward calls — should build one plan and reuse it;
-/// [`factored_matmul`] builds a throwaway plan per call for convenience.
+/// through the prepacked panels. [`factored_matmul_prepacked`] builds its
+/// plan from the factors' cached panels; [`factored_matmul`] builds a
+/// throwaway plan per call for convenience.
 ///
-/// A plan borrows nothing: the factor panels are copied into the packed
-/// layout, so the source tensors may be dropped or mutated afterwards
-/// (the plan keeps computing with the values it was built from).
+/// A plan borrows nothing: it holds the packed panels themselves, so the
+/// source tensors may be dropped or mutated afterwards (the plan keeps
+/// computing with the values it was built from).
 pub struct FactoredPlan {
-    k: usize,
-    r1: usize,
-    r2: usize,
-    n: usize,
     dtype: KernelDtype,
-    pu1: PrepackedB,
-    pcore: PrepackedB,
-    pu2: PrepackedB,
+    pu1: Arc<PrepackedB>,
+    pcore: Arc<PrepackedB>,
+    pu2: Arc<PrepackedB>,
 }
 
 impl FactoredPlan {
@@ -802,20 +915,31 @@ impl FactoredPlan {
     ///
     /// Panics if the chain dimensions disagree.
     pub fn with_dtype(dtype: KernelDtype, u1: &Tensor, core: &Tensor, u2: &Tensor) -> Self {
-        let (k, r1) = (u1.rows(), u1.cols());
-        let (r1b, r2) = (core.rows(), core.cols());
-        let (r2b, n) = (u2.rows(), u2.cols());
-        assert_eq!(r1, r1b, "FactoredPlan: U1·core inner dimension mismatch");
-        assert_eq!(r2, r2b, "FactoredPlan: core·U2 inner dimension mismatch");
+        let pack =
+            |t: &Tensor| Arc::new(prepack_b(&MatRef::new(t.data(), t.rows(), t.cols()), dtype));
+        Self::from_panels(dtype, pack(u1), pack(core), pack(u2))
+    }
+
+    /// A plan over already packed factor panels.
+    fn from_panels(
+        dtype: KernelDtype,
+        pu1: Arc<PrepackedB>,
+        pcore: Arc<PrepackedB>,
+        pu2: Arc<PrepackedB>,
+    ) -> Self {
+        assert_eq!(
+            pu1.n, pcore.k,
+            "FactoredPlan: U1·core inner dimension mismatch"
+        );
+        assert_eq!(
+            pcore.n, pu2.k,
+            "FactoredPlan: core·U2 inner dimension mismatch"
+        );
         FactoredPlan {
-            k,
-            r1,
-            r2,
-            n,
             dtype,
-            pu1: prepack_b(&MatRef::new(u1.data(), k, r1), dtype),
-            pcore: prepack_b(&MatRef::new(core.data(), r1, r2), dtype),
-            pu2: prepack_b(&MatRef::new(u2.data(), r2, n), dtype),
+            pu1,
+            pcore,
+            pu2,
         }
     }
 
@@ -826,12 +950,12 @@ impl FactoredPlan {
 
     /// Input width (`U1` rows).
     pub fn fan_in(&self) -> usize {
-        self.k
+        self.pu1.k
     }
 
     /// Output width (`U2` columns).
     pub fn fan_out(&self) -> usize {
-        self.n
+        self.pu2.n
     }
 
     /// `y = ((x·U1)·Γ)·U2` against the prepacked panels on the active
@@ -851,8 +975,8 @@ impl FactoredPlan {
     /// Panics if `x.cols() != fan_in`.
     pub fn matmul_on(&self, backend: Backend, x: &Tensor) -> Tensor {
         let (m, k) = (x.rows(), x.cols());
-        let (r1, r2, n) = (self.r1, self.r2, self.n);
-        assert_eq!(k, self.k, "FactoredPlan: x·U1 inner dimension mismatch");
+        let (r1, r2, n) = (self.pu1.n, self.pcore.n, self.pu2.n);
+        assert_eq!(k, self.pu1.k, "FactoredPlan: x·U1 inner dimension mismatch");
         record_gemm_typed(
             GemmVariant::FactoredFused,
             backend.name(),
@@ -931,6 +1055,39 @@ pub fn factored_matmul_with(
     u2: &Tensor,
 ) -> Tensor {
     FactoredPlan::with_dtype(dtype, u1, core, u2).matmul_on(backend, x)
+}
+
+/// [`factored_matmul`] against the factors' cached panels at the active
+/// dtype: each factor is packed on the first call after it was built or
+/// last mutated, and later calls reuse the panels (see
+/// [`factored_matmul`] for the fused pipeline). Bit-identical to
+/// [`factored_matmul`].
+///
+/// # Panics
+///
+/// Panics if any operand is not order-2 or the chain dimensions disagree.
+pub fn factored_matmul_prepacked(x: &Tensor, u1: &Tensor, core: &Tensor, u2: &Tensor) -> Tensor {
+    factored_matmul_prepacked_with(Backend::active(), KernelDtype::active(), x, u1, core, u2)
+}
+
+/// [`factored_matmul_prepacked`] with explicit kernel backend and panel
+/// storage dtype; bit-identical to [`factored_matmul_with`] at the same
+/// backend and dtype.
+pub fn factored_matmul_prepacked_with(
+    backend: Backend,
+    dtype: KernelDtype,
+    x: &Tensor,
+    u1: &Tensor,
+    core: &Tensor,
+    u2: &Tensor,
+) -> Tensor {
+    FactoredPlan::from_panels(
+        dtype,
+        u1.packed_b(dtype),
+        core.packed_b(dtype),
+        u2.packed_b(dtype),
+    )
+    .matmul_on(backend, x)
 }
 
 /// [`factored_matmul`] that also returns the stage intermediates

@@ -16,7 +16,7 @@ use std::fmt;
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
 pub struct Shape {
-    dims: Vec<usize>,
+    dims: Box<[usize]>,
 }
 
 impl Shape {
@@ -30,9 +30,7 @@ impl Shape {
             dims.iter().all(|&d| d > 0),
             "zero-sized dimension in shape {dims:?}"
         );
-        Shape {
-            dims: dims.to_vec(),
-        }
+        Shape { dims: dims.into() }
     }
 
     /// The dimension sizes.

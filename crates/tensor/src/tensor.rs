@@ -1,8 +1,13 @@
 //! The dense row-major tensor type.
 
+use crate::dtype::KernelDtype;
+use crate::matmul::{PanelCache, PrepackedB};
+use crate::pack::MatRef;
 use crate::rng::Rng64;
 use crate::shape::Shape;
 use crate::TensorError;
+use std::fmt;
+use std::sync::Arc;
 
 /// A dense, row-major `f32` tensor of arbitrary order.
 ///
@@ -20,31 +25,53 @@ use crate::TensorError;
 /// assert_eq!(t.get(&[1, 0]), 3.0);
 /// assert_eq!(t.frobenius_norm(), (30.0f32).sqrt());
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+///
+/// A matrix used as a GEMM weight also carries its packed B-panel form
+/// (see [`crate::matmul::matmul_prepacked`]), built on first use. Every
+/// `&mut` access to the values drops it, so the panels always match the
+/// values. Equality and `Debug` ignore it.
+#[derive(Clone)]
 pub struct Tensor {
     shape: Shape,
-    data: Vec<f32>,
+    data: Box<[f32]>,
+    panels: PanelCache,
+}
+
+impl PartialEq for Tensor {
+    fn eq(&self, other: &Self) -> bool {
+        self.shape == other.shape && self.data == other.data
+    }
+}
+
+impl fmt::Debug for Tensor {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Tensor")
+            .field("shape", &self.shape)
+            .field("data", &self.data)
+            .finish()
+    }
 }
 
 impl Tensor {
-    /// Creates a tensor of zeros.
-    pub fn zeros(dims: &[usize]) -> Self {
-        let shape = Shape::new(dims);
-        let len = shape.len();
+    /// The one constructor: a fresh tensor has no packed panels.
+    fn from_parts(shape: Shape, data: Vec<f32>) -> Self {
         Tensor {
             shape,
-            data: vec![0.0; len],
+            data: data.into_boxed_slice(),
+            panels: PanelCache::default(),
         }
+    }
+
+    /// Creates a tensor of zeros.
+    pub fn zeros(dims: &[usize]) -> Self {
+        Tensor::full(dims, 0.0)
     }
 
     /// Creates a tensor filled with `value`.
     pub fn full(dims: &[usize], value: f32) -> Self {
         let shape = Shape::new(dims);
         let len = shape.len();
-        Tensor {
-            shape,
-            data: vec![value; len],
-        }
+        Tensor::from_parts(shape, vec![value; len])
     }
 
     /// Creates a tensor from a flat row-major data vector.
@@ -61,28 +88,29 @@ impl Tensor {
             data.len(),
             shape.len()
         );
-        Tensor { shape, data }
+        Tensor::from_parts(shape, data)
     }
 
     /// Creates a tensor with i.i.d. standard-normal entries.
     pub fn randn(dims: &[usize], rng: &mut Rng64) -> Self {
         let shape = Shape::new(dims);
         let data = (0..shape.len()).map(|_| rng.gaussian() as f32).collect();
-        Tensor { shape, data }
+        Tensor::from_parts(shape, data)
     }
 
     /// Creates a tensor with normal entries of the given standard deviation.
     pub fn randn_scaled(dims: &[usize], std: f32, rng: &mut Rng64) -> Self {
         let shape = Shape::new(dims);
         let data = (0..shape.len()).map(|_| rng.normal(0.0, std)).collect();
-        Tensor { shape, data }
+        Tensor::from_parts(shape, data)
     }
 
     /// Creates the `n × n` identity matrix.
     pub fn eye(n: usize) -> Self {
         let mut t = Tensor::zeros(&[n, n]);
+        let d = t.data_mut();
         for i in 0..n {
-            t.data[i * n + i] = 1.0;
+            d[i * n + i] = 1.0;
         }
         t
     }
@@ -143,14 +171,28 @@ impl Tensor {
         &self.data
     }
 
-    /// Mutable view of the flat row-major data.
+    /// Mutable view of the flat row-major data. Drops the packed panels:
+    /// this is the only way to write a tensor's values in place, so no
+    /// panel can outlive a change to the values it was packed from.
     pub fn data_mut(&mut self) -> &mut [f32] {
+        self.panels = PanelCache::default();
         &mut self.data
+    }
+
+    /// This matrix's GEMM B panels at `dtype`, packed on first request and
+    /// shared by clones until either side is mutated.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the tensor is not order-2.
+    pub(crate) fn packed_b(&self, dtype: KernelDtype) -> Arc<PrepackedB> {
+        let b = MatRef::new(&self.data, self.rows(), self.cols());
+        self.panels.get_or_pack(&b, dtype)
     }
 
     /// Consumes the tensor, returning its flat data.
     pub fn into_vec(self) -> Vec<f32> {
-        self.data
+        self.data.into_vec()
     }
 
     /// Reads the element at a multi-dimensional index.
@@ -169,7 +211,7 @@ impl Tensor {
     /// Panics (in debug builds) if the index is out of bounds.
     pub fn set(&mut self, index: &[usize], value: f32) {
         let off = self.shape.offset(index);
-        self.data[off] = value;
+        self.data_mut()[off] = value;
     }
 
     /// Returns a new tensor with the same data and a different shape.
@@ -186,10 +228,7 @@ impl Tensor {
                 got: dims.to_vec(),
             });
         }
-        Ok(Tensor {
-            shape: new_shape,
-            data: self.data.clone(),
-        })
+        Ok(Tensor::from_parts(new_shape, self.data.to_vec()))
     }
 
     /// Matrix transpose.
@@ -200,9 +239,10 @@ impl Tensor {
     pub fn transpose(&self) -> Tensor {
         let (m, n) = (self.rows(), self.cols());
         let mut out = Tensor::zeros(&[n, m]);
+        let d = out.data_mut();
         for i in 0..m {
             for j in 0..n {
-                out.data[j * m + i] = self.data[i * n + j];
+                d[j * m + i] = self.data[i * n + j];
             }
         }
         out
@@ -225,7 +265,7 @@ impl Tensor {
     /// Panics if the tensor is not order-2 or `i` is out of bounds.
     pub fn row_mut(&mut self, i: usize) -> &mut [f32] {
         let n = self.cols();
-        &mut self.data[i * n..(i + 1) * n]
+        &mut self.data_mut()[i * n..(i + 1) * n]
     }
 
     /// Copies column `j` of a matrix into a new vector.
@@ -256,15 +296,15 @@ impl Tensor {
 
     /// Applies `f` to every element, returning a new tensor.
     pub fn map(&self, f: impl Fn(f32) -> f32) -> Tensor {
-        Tensor {
-            shape: self.shape.clone(),
-            data: self.data.iter().map(|&x| f(x)).collect(),
-        }
+        Tensor::from_parts(
+            self.shape.clone(),
+            self.data.iter().map(|&x| f(x)).collect(),
+        )
     }
 
     /// Applies `f` to every element in place.
     pub fn map_inplace(&mut self, f: impl Fn(f32) -> f32) {
-        for x in &mut self.data {
+        for x in self.data_mut() {
             *x = f(*x);
         }
     }
@@ -288,10 +328,7 @@ impl Tensor {
             .zip(&other.data)
             .map(|(&a, &b)| f(a, b))
             .collect();
-        Ok(Tensor {
-            shape: self.shape.clone(),
-            data,
-        })
+        Ok(Tensor::from_parts(self.shape.clone(), data))
     }
 
     /// Element-wise sum.
@@ -324,7 +361,7 @@ impl Tensor {
     /// Panics if shapes differ.
     pub fn axpy(&mut self, alpha: f32, other: &Tensor) {
         assert_eq!(self.shape, other.shape, "axpy shape mismatch");
-        for (a, &b) in self.data.iter_mut().zip(&other.data) {
+        for (a, &b) in self.data_mut().iter_mut().zip(&other.data) {
             *a += alpha * b;
         }
     }
@@ -379,6 +416,7 @@ impl Tensor {
         let n_mode = self.shape.dim(mode);
         let n_rest = self.len() / n_mode;
         let mut out = Tensor::zeros(&[n_mode, n_rest]);
+        let out_data = out.data_mut();
         let dims = self.dims().to_vec();
         // Iterate over all elements; compute each element's (row, col) in the
         // unfolded matrix. Column index = row-major offset over remaining
@@ -398,7 +436,7 @@ impl Tensor {
                     col = col * dims[d] + idx[d];
                 }
             }
-            out.data[row * n_rest + col] = v;
+            out_data[row * n_rest + col] = v;
         }
         out
     }
@@ -417,8 +455,9 @@ impl Tensor {
         assert_eq!(unfolded.rows(), n_mode, "fold row mismatch");
         assert_eq!(unfolded.cols(), n_rest, "fold col mismatch");
         let mut out = Tensor::zeros(dims);
+        let out_data = out.data_mut();
         let mut idx = vec![0usize; order];
-        for flat in 0..out.len() {
+        for (flat, slot) in out_data.iter_mut().enumerate() {
             let mut rem = flat;
             for d in (0..order).rev() {
                 idx[d] = rem % dims[d];
@@ -431,7 +470,7 @@ impl Tensor {
                     col = col * dims[d] + idx[d];
                 }
             }
-            out.data[flat] = unfolded.data[row * n_rest + col];
+            *slot = unfolded.data[row * n_rest + col];
         }
         out
     }
@@ -450,10 +489,7 @@ impl Tensor {
 impl Default for Tensor {
     /// An empty rank-0 tensor placeholder.
     fn default() -> Self {
-        Tensor {
-            shape: Shape::default(),
-            data: Vec::new(),
-        }
+        Tensor::from_parts(Shape::default(), Vec::new())
     }
 }
 
@@ -579,6 +615,52 @@ mod tests {
     fn max_abs() {
         let t = Tensor::from_vec(&[2, 2], vec![-7.0, 2.0, 3.0, -1.0]);
         assert_eq!(t.max_abs(), 7.0);
+    }
+
+    #[test]
+    fn packed_panels_are_shared_by_clones_and_dropped_by_every_mutation() {
+        let mut rng = Rng64::new(12);
+        let w = Tensor::randn(&[5, 20], &mut rng);
+        let packed = w.packed_b(KernelDtype::F32);
+        assert!(
+            Arc::ptr_eq(&packed, &w.packed_b(KernelDtype::F32)),
+            "cached"
+        );
+        assert!(
+            Arc::ptr_eq(&packed, &w.clone().packed_b(KernelDtype::F32)),
+            "clones share the panels"
+        );
+        assert!(
+            !Arc::ptr_eq(&packed, &w.packed_b(KernelDtype::Bf16)),
+            "another dtype packs afresh"
+        );
+        let mutations: [fn(&mut Tensor); 5] = [
+            |t| t.data_mut()[0] += 1.0,
+            |t| t.set(&[1, 2], 7.0),
+            |t| t.row_mut(3)[4] = -1.0,
+            |t| t.map_inplace(|x| x * 2.0),
+            |t| t.axpy(1.0, &Tensor::full(&[5, 20], 0.5)),
+        ];
+        for mutate in mutations {
+            let mut c = w.clone();
+            mutate(&mut c);
+            assert!(
+                !Arc::ptr_eq(&packed, &c.packed_b(KernelDtype::F32)),
+                "a mutated clone repacks"
+            );
+        }
+        assert!(
+            Arc::ptr_eq(&packed, &w.packed_b(KernelDtype::F32)),
+            "mutating a clone leaves the original's panels alone"
+        );
+    }
+
+    #[test]
+    fn tensor_stays_six_words() {
+        // Layers hold tensors by value, so their enums (`AnyLinear`,
+        // `TransformerBlock`, ...) grow by a multiple of every added byte;
+        // the panel cache fits by keeping shape and data in boxed slices.
+        assert_eq!(std::mem::size_of::<Tensor>(), 48);
     }
 
     #[test]

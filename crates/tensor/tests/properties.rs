@@ -1,10 +1,11 @@
 //! Property-based tests for the linear-algebra substrate.
 
-use lrd_tensor::dtype::KernelDtype;
+use lrd_tensor::dtype::{KernelDtype, ALL_DTYPES};
 use lrd_tensor::kernel::{Backend, NR};
 use lrd_tensor::matmul::{
-    factored_matmul_with, matmul, matmul_on, matmul_transa, matmul_transa_on, matmul_transb,
-    matmul_transb_on, matmul_with, matvec, mode_n_product, set_thread_limit, FactoredPlan,
+    factored_matmul_prepacked_with, factored_matmul_with, matmul, matmul_on, matmul_prepacked,
+    matmul_transa, matmul_transa_on, matmul_transb, matmul_transb_on, matmul_with, matvec,
+    mode_n_product, set_thread_limit, FactoredPlan,
 };
 use lrd_tensor::qr::{orthonormality_error, qr_thin};
 use lrd_tensor::rng::Rng64;
@@ -12,6 +13,12 @@ use lrd_tensor::svd::{svd_jacobi, truncated_svd};
 use lrd_tensor::tucker::{tucker2, tucker_hoi, HoiOptions};
 use lrd_tensor::Tensor;
 use proptest::prelude::*;
+
+/// The bit patterns of a tensor's values: equality here is bit identity,
+/// which `-0.0 == 0.0` and NaN make stronger than `f32` equality.
+fn bits(t: &Tensor) -> Vec<u32> {
+    t.data().iter().map(|x| x.to_bits()).collect()
+}
 
 /// Strategy: a random matrix with bounded dimensions, generated through the
 /// workspace RNG from a proptest-chosen seed so shrinking stays meaningful.
@@ -308,6 +315,54 @@ proptest! {
         prop_assert_eq!(&unfused, &fused, "shape {:?}", shape);
         let plan = FactoredPlan::with_dtype(KernelDtype::F32, &u1, &core, &u2);
         prop_assert_eq!(&unfused, &plan.matmul_on(backend, &x), "plan, shape {:?}", shape);
+    }
+
+    #[test]
+    fn prepacked_dense_is_bit_identical_to_matmul(case in adversarial_shape()) {
+        // The cached panels are the ones `matmul` packs, so the first
+        // (packing) call, a reusing call, and a call at another batch
+        // height all match it to the bit.
+        let (m, k, n, seed) = case;
+        let mut rng = Rng64::new(seed);
+        let w = Tensor::randn(&[k, n], &mut rng);
+        for rows in [m, m, m + 7] {
+            let x = Tensor::randn(&[rows, k], &mut rng);
+            prop_assert_eq!(bits(&matmul_prepacked(&x, &w)), bits(&matmul(&x, &w)), "{}×{}×{}", rows, k, n);
+        }
+    }
+
+    #[test]
+    fn prepacked_factored_is_bit_identical_to_factored_matmul(case in factored_shape()) {
+        // At every storage dtype, the factors' cached panels reproduce the
+        // per-call fused product exactly, on first and on reused calls.
+        let (shape, seed) = case;
+        let backend = Backend::active();
+        for dtype in ALL_DTYPES {
+            // Fresh factors per dtype, so each dtype is the cached one.
+            let (x, u1, core, u2) = factored_operands(shape, seed);
+            let want = bits(&factored_matmul_with(backend, dtype, &x, &u1, &core, &u2));
+            for _ in 0..2 {
+                let got = factored_matmul_prepacked_with(backend, dtype, &x, &u1, &core, &u2);
+                prop_assert_eq!(&bits(&got), &want, "{} shape {:?}", dtype.name(), shape);
+            }
+        }
+    }
+
+    #[test]
+    fn prepacked_dense_is_bit_identical_across_thread_counts(seed in any::<u64>()) {
+        // Large enough to cross the threading threshold: the band split of
+        // the prepacked path's band split must not change any element.
+        let mut rng = Rng64::new(seed);
+        let x = Tensor::randn(&[130, 120], &mut rng);
+        let w = Tensor::randn(&[120, 90], &mut rng);
+        let want = bits(&matmul(&x, &w));
+        let prev = set_thread_limit(1);
+        let serial = bits(&matmul_prepacked(&x, &w));
+        set_thread_limit(3);
+        let banded = bits(&matmul_prepacked(&x, &w));
+        set_thread_limit(prev);
+        prop_assert_eq!(&serial, &want);
+        prop_assert_eq!(&banded, &want);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! hundred thousand values, and exact nearest-rank percentiles keep the
 //! reported p50/p95/p99 bit-reproducible across runs of the same trace.
 
-use crate::json::Json;
+use crate::json::{InexactUint, Json};
 
 /// An exact-sample histogram with nearest-rank percentiles.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -109,16 +109,20 @@ impl Histogram {
 
 impl HistogramSummary {
     /// Renders the summary as a JSON object (the metrics-document shape).
-    pub fn to_json(&self) -> Json {
-        Json::obj([
-            ("count", Json::uint(self.count)),
+    ///
+    /// # Errors
+    ///
+    /// [`InexactUint`] if the sample count is above 2⁵³.
+    pub fn to_json(&self) -> Result<Json, InexactUint> {
+        Ok(Json::obj([
+            ("count", Json::try_uint(self.count)?),
             ("mean", Json::num(self.mean)),
             ("min", Json::num(self.min)),
             ("max", Json::num(self.max)),
             ("p50", Json::num(self.p50)),
             ("p95", Json::num(self.p95)),
             ("p99", Json::num(self.p99)),
-        ])
+        ]))
     }
 }
 
@@ -176,7 +180,7 @@ mod tests {
     fn summary_renders_to_json() {
         let mut h = Histogram::new();
         h.record(1.5);
-        let j = h.summary().to_json();
+        let j = h.summary().to_json().unwrap();
         assert_eq!(j.get("count").and_then(Json::as_num), Some(1.0));
         assert_eq!(j.get("p99").and_then(Json::as_num), Some(1.5));
     }

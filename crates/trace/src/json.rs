@@ -10,6 +10,27 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
+/// The largest integer an IEEE double — every JSON number — holds exactly
+/// together with all smaller ones: 2⁵³.
+pub const MAX_EXACT_UINT: u64 = 1 << 53;
+
+/// A `u64` that [`Json::uint`] refused because a JSON number would round
+/// it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct InexactUint(pub u64);
+
+impl std::fmt::Display for InexactUint {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "{} is above 2^53, so a JSON number would round it; write it as hex",
+            self.0
+        )
+    }
+}
+
+impl std::error::Error for InexactUint {}
+
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
@@ -43,9 +64,43 @@ impl Json {
         Json::Num(n.into())
     }
 
-    /// Builds a number from a `u64` (lossless up to 2⁵³).
+    /// Builds a number from a `u64`.
+    ///
+    /// # Errors
+    ///
+    /// [`InexactUint`] above 2⁵³, where a JSON number (an IEEE double)
+    /// would round the value; write such values with [`Json::hex`].
+    pub fn try_uint(n: u64) -> Result<Json, InexactUint> {
+        if n > MAX_EXACT_UINT {
+            return Err(InexactUint(n));
+        }
+        Ok(Json::Num(n as f64))
+    }
+
+    /// [`Json::try_uint`] for writers that cannot propagate an error: a
+    /// value above 2⁵³ becomes `null`, which every validator refuses,
+    /// instead of a rounded number that would pass for data.
     pub fn uint(n: u64) -> Json {
-        Json::Num(n as f64)
+        Json::try_uint(n).unwrap_or(Json::Null)
+    }
+
+    /// Builds the 16-digit lowercase hex string of a `u64` — the lossless
+    /// form of checksums, fingerprints and other full-width words.
+    pub fn hex(n: u64) -> Json {
+        Json::Str(format!("{n:016x}"))
+    }
+
+    /// The value as a `u64` written by [`Json::hex`]: exactly 16 lowercase
+    /// hex digits.
+    pub fn as_hex(&self) -> Option<u64> {
+        match self {
+            Json::Str(s)
+                if s.len() == 16 && s.bytes().all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f')) =>
+            {
+                u64::from_str_radix(s, 16).ok()
+            }
+            _ => None,
+        }
     }
 
     /// Looks up a key of an object.
@@ -432,6 +487,37 @@ mod tests {
     fn integers_render_without_fraction() {
         assert_eq!(Json::uint(1043).render().trim(), "1043");
         assert!(Json::num(0.5).render().trim().contains("0.5"));
+    }
+
+    #[test]
+    fn uint_refuses_values_a_double_would_round() {
+        let top = Json::try_uint(MAX_EXACT_UINT).unwrap();
+        assert_eq!(top.render().trim(), "9007199254740992");
+        assert_eq!(
+            Json::try_uint(MAX_EXACT_UINT + 1),
+            Err(InexactUint(MAX_EXACT_UINT + 1))
+        );
+        assert!(Json::try_uint(u64::MAX).is_err());
+        assert_eq!(Json::uint(MAX_EXACT_UINT + 1), Json::Null);
+        assert_eq!(Json::uint(7), Json::Num(7.0));
+    }
+
+    #[test]
+    fn hex_round_trips_every_u64_exactly() {
+        for n in [0u64, 1, MAX_EXACT_UINT + 1, 0xcbf2_9ce4_8422_2325, u64::MAX] {
+            let j = Json::hex(n);
+            assert_eq!(j.as_str().map(str::len), Some(16));
+            assert_eq!(parse(&j.render()).unwrap().as_hex(), Some(n));
+        }
+        for bad in [
+            "cbf29ce484222325 ",
+            "CBF29CE484222325",
+            "cbf29ce48422232",
+            "+bf29ce484222325",
+        ] {
+            assert_eq!(Json::str(bad).as_hex(), None, "{bad:?}");
+        }
+        assert_eq!(Json::Num(1.0).as_hex(), None);
     }
 
     #[test]

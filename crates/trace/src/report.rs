@@ -27,7 +27,7 @@
 //! inside the run, counters present for every [`crate::counters::ALL`]
 //! name.
 
-use crate::json::Json;
+use crate::json::{InexactUint, Json};
 use crate::{counters, event, span};
 
 /// Version of the metrics document layout. Bump on any breaking change to
@@ -89,18 +89,42 @@ impl CacheInfo {
 
 /// Assembles the full metrics document from the caller's run/cache facts
 /// plus snapshots of every process-global collector.
-pub fn metrics_document(run: &RunInfo, cache: &CacheInfo) -> Json {
-    Json::obj([
+///
+/// # Errors
+///
+/// [`InexactUint`] if a count is above 2⁵³.
+pub fn metrics_document(run: &RunInfo, cache: &CacheInfo) -> Result<Json, InexactUint> {
+    let counters = counters::snapshot()
+        .into_iter()
+        .map(|(name, value)| Ok((name.to_string(), Json::try_uint(value)?)))
+        .collect::<Result<_, InexactUint>>()?;
+    let gemm = counters::gemm_snapshot()
+        .into_iter()
+        .map(|g| {
+            Ok(Json::obj([
+                ("variant", Json::str(g.variant)),
+                ("backend", Json::str(g.backend)),
+                ("dtype", Json::str(g.dtype)),
+                ("calls", Json::try_uint(g.calls)?),
+                ("flops", Json::try_uint(g.flops)?),
+            ]))
+        })
+        .collect::<Result<_, InexactUint>>()?;
+    let spans = span::snapshot()
+        .into_iter()
+        .map(span_json)
+        .collect::<Result<_, InexactUint>>()?;
+    Ok(Json::obj([
         ("schema", Json::str(SCHEMA_NAME)),
-        ("schema_version", Json::uint(SCHEMA_VERSION)),
+        ("schema_version", Json::try_uint(SCHEMA_VERSION)?),
         (
             "run",
             Json::obj([
                 ("command", Json::str(run.command.clone())),
                 ("wall_s", Json::num(run.wall_s)),
-                ("workers", Json::uint(run.workers)),
-                ("samples", Json::uint(run.samples)),
-                ("steps", Json::uint(run.steps)),
+                ("workers", Json::try_uint(run.workers)?),
+                ("samples", Json::try_uint(run.samples)?),
+                ("steps", Json::try_uint(run.steps)?),
                 ("kernel_backend", Json::str(run.kernel_backend.clone())),
                 ("kernel_gflops", Json::num(run.kernel_gflops)),
             ]),
@@ -108,59 +132,36 @@ pub fn metrics_document(run: &RunInfo, cache: &CacheInfo) -> Json {
         (
             "cache",
             Json::obj([
-                ("hits", Json::uint(cache.hits)),
-                ("misses", Json::uint(cache.misses)),
-                ("lookups", Json::uint(cache.lookups())),
+                ("hits", Json::try_uint(cache.hits)?),
+                ("misses", Json::try_uint(cache.misses)?),
+                ("lookups", Json::try_uint(cache.lookups())?),
                 ("hit_rate", Json::num(cache.hit_rate())),
-                ("distinct_factors", Json::uint(cache.distinct_factors)),
+                ("distinct_factors", Json::try_uint(cache.distinct_factors)?),
             ]),
         ),
-        (
-            "counters",
-            Json::Obj(
-                counters::snapshot()
-                    .into_iter()
-                    .map(|(name, value)| (name.to_string(), Json::uint(value)))
-                    .collect(),
-            ),
-        ),
-        (
-            "gemm",
-            Json::Arr(
-                counters::gemm_snapshot()
-                    .into_iter()
-                    .map(|g| {
-                        Json::obj([
-                            ("variant", Json::str(g.variant)),
-                            ("backend", Json::str(g.backend)),
-                            ("dtype", Json::str(g.dtype)),
-                            ("calls", Json::uint(g.calls)),
-                            ("flops", Json::uint(g.flops)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        (
-            "spans",
-            Json::Arr(span::snapshot().into_iter().map(span_json).collect()),
-        ),
+        ("counters", Json::Obj(counters)),
+        ("gemm", Json::Arr(gemm)),
+        ("spans", Json::Arr(spans)),
         (
             "events",
             Json::Arr(event::snapshot().into_iter().map(event_json).collect()),
         ),
-    ])
+    ]))
 }
 
-fn span_json(s: span::SpanRecord) -> Json {
-    Json::obj([
-        ("id", Json::uint(s.id)),
-        ("parent", s.parent.map(Json::uint).unwrap_or(Json::Null)),
+fn span_json(s: span::SpanRecord) -> Result<Json, InexactUint> {
+    let parent = match s.parent {
+        Some(p) => Json::try_uint(p)?,
+        None => Json::Null,
+    };
+    Ok(Json::obj([
+        ("id", Json::try_uint(s.id)?),
+        ("parent", parent),
         ("name", Json::str(s.name)),
         ("label", Json::str(s.label)),
-        ("start_us", Json::uint(s.start_us)),
-        ("dur_us", Json::uint(s.dur_us)),
-    ])
+        ("start_us", Json::try_uint(s.start_us)?),
+        ("dur_us", Json::try_uint(s.dur_us)?),
+    ]))
 }
 
 fn event_json(e: event::EventRecord) -> Json {
@@ -180,13 +181,16 @@ fn event_json(e: event::EventRecord) -> Json {
 ///
 /// # Errors
 ///
-/// Propagates the underlying filesystem error.
+/// Propagates the underlying filesystem error; a count above 2⁵³ is an
+/// `InvalidData` error.
 pub fn write_metrics(
     path: &std::path::Path,
     run: &RunInfo,
     cache: &CacheInfo,
 ) -> std::io::Result<()> {
-    std::fs::write(path, metrics_document(run, cache).render())
+    let doc = metrics_document(run, cache)
+        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
+    std::fs::write(path, doc.render())
 }
 
 #[cfg(test)]
@@ -213,7 +217,7 @@ mod tests {
             misses: 224,
             distinct_factors: 224,
         };
-        let doc = metrics_document(&test_run(), &cache);
+        let doc = metrics_document(&test_run(), &cache).unwrap();
         assert_eq!(doc.get("schema").unwrap().as_str(), Some(SCHEMA_NAME));
         assert_eq!(
             doc.get("schema_version").unwrap().as_num(),
@@ -236,7 +240,7 @@ mod tests {
 
     #[test]
     fn document_round_trips_through_parser() {
-        let doc = metrics_document(&test_run(), &CacheInfo::default());
+        let doc = metrics_document(&test_run(), &CacheInfo::default()).unwrap();
         let text = doc.render();
         let back = json::parse(&text).expect("document parses");
         assert_eq!(back.get("schema").unwrap().as_str(), Some(SCHEMA_NAME));
