@@ -71,6 +71,36 @@ impl KvCache {
         self.max_seq
     }
 
+    /// Checks that a token at position `pos` with `width`-wide rows can
+    /// be appended next, without touching the cache.
+    ///
+    /// # Errors
+    ///
+    /// [`DecodeError::PositionMismatch`] if `pos` is not the cached
+    /// length, [`DecodeError::CacheFull`] at the `max_seq` bound,
+    /// [`DecodeError::BatchMismatch`] if `width` is not the row width.
+    pub(crate) fn check_append(&self, pos: usize, width: usize) -> Result<(), DecodeError> {
+        if pos != self.len {
+            return Err(DecodeError::PositionMismatch {
+                pos,
+                cached: self.len,
+            });
+        }
+        if self.len >= self.max_seq {
+            return Err(DecodeError::CacheFull {
+                max_seq: self.max_seq,
+            });
+        }
+        if width != self.width {
+            return Err(DecodeError::BatchMismatch {
+                what: "kv row width",
+                expected: self.width,
+                got: width,
+            });
+        }
+        Ok(())
+    }
+
     /// Appends one position's key/value rows.
     ///
     /// # Errors
@@ -303,7 +333,8 @@ impl MultiHeadAttention {
     /// # Errors
     ///
     /// [`DecodeError::BatchMismatch`] if `positions`/`caches` disagree with
-    /// `xs.rows()`, [`DecodeError::PositionMismatch`] if a position is not
+    /// `xs.rows()` or a cache's row width is not `n_kv_heads · head_dim`,
+    /// [`DecodeError::PositionMismatch`] if a position is not
     /// its cache's length, [`DecodeError::CacheFull`] at a session's
     /// `max_seq` bound. All sessions are validated before any cache is
     /// mutated, so no cache is extended on error.
@@ -328,18 +359,9 @@ impl MultiHeadAttention {
                 got: caches.len(),
             });
         }
+        let width = self.n_kv_heads * self.head_dim;
         for (&pos, cache) in positions.iter().zip(caches.iter()) {
-            if pos != cache.len() {
-                return Err(DecodeError::PositionMismatch {
-                    pos,
-                    cached: cache.len(),
-                });
-            }
-            if cache.len() >= cache.max_seq() {
-                return Err(DecodeError::CacheFull {
-                    max_seq: cache.max_seq(),
-                });
-            }
+            cache.check_append(pos, width)?;
         }
 
         let mut q = self.wq.infer(xs);

@@ -7,8 +7,20 @@ use crate::decode::DecodeError;
 use crate::linear::{AnyLinear, AnyLinearCache};
 use crate::norm::{LayerNorm, LayerNormCache, RmsNorm, RmsNormCache};
 use crate::param::Param;
+use lrd_tensor::matmul::thread_budget;
 use lrd_tensor::rng::Rng64;
 use lrd_tensor::Tensor;
+
+/// Fewest sessions a worker of [`TransformerLm::decode_step_many`] is
+/// given: a step of `S` sessions runs on `min(thread_budget, S / 4)`
+/// workers, so a two-way split starts at 8 sessions.
+///
+/// Picked from measurement at the tiny-Llama shapes on a 2-vCPU AVX2
+/// host, where a scoped spawn plus join costs 25–40 µs against
+/// 0.4–4 ms steps: a forced two-way split ran at 0.6–1.0× of one worker
+/// for 2–3 sessions, 0.8–1.2× for 4–6, and 1.1–2.0× from 7 up. It is a
+/// fixed property of the step, not a knob.
+pub const MIN_ROWS_PER_WORKER: usize = 4;
 
 /// Final normalization before the LM head (architecture-dependent).
 #[derive(Debug, Clone, PartialEq)]
@@ -351,11 +363,18 @@ impl TransformerLm {
     /// Continuous-batching decode: advances `S` independent sessions by one
     /// token each, returning the `S × vocab` next-token logits (row `i`
     /// for session `i`). Each layer runs its projections, MLP and norms as
-    /// single `S`-row batches — one batched GEMM per weight per layer per
-    /// step — while attention reads each session's own KV cache, so the
-    /// logits for every session are bit-identical to decoding it alone
-    /// with [`TransformerLm::decode_step`] (see DESIGN.md §13 for the
+    /// `S`-row batches — one batched GEMM per weight per layer per step —
+    /// while attention reads each session's own KV cache, so the logits
+    /// for every session are bit-identical to decoding it alone with
+    /// [`TransformerLm::decode_step`] (see DESIGN.md §13 for the
     /// determinism argument).
+    ///
+    /// Once the whole batch is validated, the sessions are split into
+    /// contiguous groups, one per worker, on `min(thread_budget, S /
+    /// MIN_ROWS_PER_WORKER)` workers (see [`thread_budget`] and
+    /// [`MIN_ROWS_PER_WORKER`]); each group runs the same body on its own
+    /// core, the caller's thread taking the first. Every op in the step is
+    /// row-wise or per-session, so the split changes no bit.
     ///
     /// # Errors
     ///
@@ -370,6 +389,62 @@ impl TransformerLm {
         tokens: &[usize],
         states: &mut [&mut DecodeState],
     ) -> Result<Tensor, DecodeError> {
+        let workers = thread_budget().min(tokens.len() / MIN_ROWS_PER_WORKER);
+        self.decode_split(tokens, states, workers)
+    }
+
+    /// [`TransformerLm::decode_step_many`] on an explicit number of
+    /// workers (clamped to `1..=S`).
+    pub(crate) fn decode_split(
+        &self,
+        tokens: &[usize],
+        states: &mut [&mut DecodeState],
+        workers: usize,
+    ) -> Result<Tensor, DecodeError> {
+        self.validate_decode(tokens, states)?;
+        let rows = tokens.len();
+        let workers = workers.clamp(1, rows);
+        if workers == 1 {
+            return self.decode_rows(tokens, states);
+        }
+        // Contiguous groups in session order, the last one possibly
+        // shorter; the caller's thread runs the first.
+        let band = rows.div_ceil(workers);
+        let parts = std::thread::scope(|scope| {
+            let mut groups = tokens.chunks(band).zip(states.chunks_mut(band));
+            let first = groups.next();
+            let handles: Vec<_> = groups
+                .map(|(t, s)| scope.spawn(move || self.decode_rows(t, s)))
+                .collect();
+            let mut parts = Vec::with_capacity(workers);
+            if let Some((t, s)) = first {
+                parts.push(self.decode_rows(t, s));
+            }
+            for handle in handles {
+                match handle.join() {
+                    Ok(part) => parts.push(part),
+                    Err(payload) => std::panic::resume_unwind(payload),
+                }
+            }
+            parts
+        });
+        let vocab = self.cfg.vocab_size;
+        let mut logits = Vec::with_capacity(rows * vocab);
+        for part in parts {
+            // Validation above rules out every decode error, so no group
+            // can fail after another has advanced its sessions.
+            logits.extend_from_slice(part?.data());
+        }
+        Ok(Tensor::from_vec(&[rows, vocab], logits))
+    }
+
+    /// Checks every token, position and cache bound of a decode batch,
+    /// so the step that follows cannot fail part way through.
+    fn validate_decode(
+        &self,
+        tokens: &[usize],
+        states: &[&mut DecodeState],
+    ) -> Result<(), DecodeError> {
         if !matches!(self.cfg.kind, ArchKind::Decoder) {
             return Err(DecodeError::NotDecoder);
         }
@@ -388,13 +463,34 @@ impl TransformerLm {
                 });
             }
         }
-        for state in states.iter() {
+        let width = self.cfg.n_kv_heads * (self.cfg.d_model / self.cfg.n_heads);
+        for state in states {
             if state.pos >= self.cfg.max_seq {
                 return Err(DecodeError::CacheFull {
                     max_seq: self.cfg.max_seq,
                 });
             }
+            if state.caches.len() != self.blocks.len() {
+                return Err(DecodeError::BatchMismatch {
+                    what: "layer caches",
+                    expected: self.blocks.len(),
+                    got: state.caches.len(),
+                });
+            }
+            for cache in &state.caches {
+                cache.check_append(state.pos, width)?;
+            }
         }
+        Ok(())
+    }
+
+    /// The body of one decode step over validated sessions, on the
+    /// calling thread.
+    fn decode_rows(
+        &self,
+        tokens: &[usize],
+        states: &mut [&mut DecodeState],
+    ) -> Result<Tensor, DecodeError> {
         let positions: Vec<usize> = states.iter().map(|s| s.pos).collect();
         let mut x = self.tok_embed.value.gather_rows(tokens);
         for (l, block) in self.blocks.iter().enumerate() {
@@ -798,6 +894,111 @@ mod tests {
             m.decode_step(1, &mut clone),
             Err(DecodeError::CacheFull { max_seq })
         );
+    }
+
+    /// `count` sessions of `m`, session `i` already holding
+    /// `lens[i % lens.len()]` tokens.
+    fn sessions_at(m: &TransformerLm, count: usize, lens: &[usize], seed: u64) -> Vec<DecodeState> {
+        let mut rng = Rng64::new(seed);
+        let vocab = m.config().vocab_size;
+        (0..count)
+            .map(|i| {
+                let mut st = m.new_decode_state();
+                for _ in 0..lens[i % lens.len()] {
+                    let t = (rng.next_u64() % vocab as u64) as usize;
+                    m.decode_step(t, &mut st).unwrap();
+                }
+                st
+            })
+            .collect()
+    }
+
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.data().iter().map(|v| v.to_bits()).collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(32))]
+
+        #[test]
+        fn split_decode_is_bit_identical_to_one_worker(
+            sessions in 1usize..=33,
+            workers in 1usize..=4,
+            lens in proptest::collection::vec(0usize..11, 1..6),
+            steps in 1usize..=2,
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            // Heights not divisible by the worker count, heights below
+            // MIN_ROWS_PER_WORKER and more workers than sessions all
+            // occur; every step's logits and every advanced state must
+            // match the one-worker run exactly.
+            let m = tiny(ArchKind::Decoder, 2);
+            let mut one = sessions_at(&m, sessions, &lens, seed);
+            let mut split = one.clone();
+            for step in 0..steps {
+                let tokens: Vec<usize> = (0..sessions).map(|i| (i * 5 + step + seed as usize) % 16).collect();
+                let mut a: Vec<&mut DecodeState> = one.iter_mut().collect();
+                let mut b: Vec<&mut DecodeState> = split.iter_mut().collect();
+                let want = m.decode_split(&tokens, &mut a, 1).unwrap();
+                let got = m.decode_split(&tokens, &mut b, workers).unwrap();
+                proptest::prop_assert_eq!(got.dims(), want.dims());
+                proptest::prop_assert_eq!(bits(&got), bits(&want));
+            }
+            proptest::prop_assert_eq!(&split, &one);
+        }
+    }
+
+    #[test]
+    fn a_bad_session_in_the_last_group_leaves_every_session_unchanged() {
+        let m = tiny(ArchKind::Decoder, 2);
+        let max_seq = m.config().max_seq;
+        let count = 3 * MIN_ROWS_PER_WORKER + 1;
+        let base = sessions_at(&m, count, &[0, 3, 7], 9);
+        let good = vec![1usize; count];
+        let last = count - 1;
+
+        let mut bad_token = good.clone();
+        bad_token[last] = 99;
+        let mut full = base.clone();
+        full[last] = sessions_at(&m, 1, &[max_seq], 1).remove(0);
+        let mut foreign = base.clone();
+        foreign[last] = tiny(ArchKind::Decoder, 3).new_decode_state();
+        let cases = [
+            (
+                &bad_token,
+                &base,
+                DecodeError::TokenOutOfRange {
+                    token: 99,
+                    vocab: 16,
+                },
+            ),
+            (&good, &full, DecodeError::CacheFull { max_seq }),
+            (
+                &good,
+                &foreign,
+                DecodeError::BatchMismatch {
+                    what: "layer caches",
+                    expected: 2,
+                    got: 3,
+                },
+            ),
+        ];
+        for (tokens, states, err) in cases {
+            for workers in [1usize, 2, 3, 4] {
+                let before = states.clone();
+                let mut after = states.clone();
+                let mut refs: Vec<&mut DecodeState> = after.iter_mut().collect();
+                assert_eq!(m.decode_split(tokens, &mut refs, workers), Err(err));
+                assert_eq!(
+                    after, before,
+                    "{err:?} at {workers} workers moved a session"
+                );
+            }
+            let mut after = states.clone();
+            let mut refs: Vec<&mut DecodeState> = after.iter_mut().collect();
+            assert_eq!(m.decode_step_many(tokens, &mut refs), Err(err));
+            assert_eq!(&after, states);
+        }
     }
 
     #[test]

@@ -35,35 +35,48 @@ impl LayerNorm {
         self.gamma.len() + self.beta.len()
     }
 
+    /// Normalizes one row: writes `x̂ = (x − μ)·(1/σ)` to `hrow` and
+    /// `γ ⊙ x̂ + β` to `orow`, and returns `1/σ`. The one per-row body of
+    /// [`LayerNorm::forward`] and [`LayerNorm::infer`], so both produce
+    /// the same bits.
+    fn norm_row(&self, row: &[f32], hrow: &mut [f32], orow: &mut [f32]) -> f32 {
+        let d = row.len();
+        let g = self.gamma.value.data();
+        let b = self.beta.value.data();
+        let mean = row.iter().sum::<f32>() / d as f32;
+        let var = row.iter().map(|&v| (v - mean) * (v - mean)).sum::<f32>() / d as f32;
+        let istd = 1.0 / (var + EPS).sqrt();
+        for (h, &v) in hrow.iter_mut().zip(row) {
+            *h = (v - mean) * istd;
+        }
+        for j in 0..d {
+            orow[j] = hrow[j] * g[j] + b[j];
+        }
+        istd
+    }
+
     /// Row-wise normalization of `x (m × d)`.
     pub fn forward(&self, x: &Tensor) -> (Tensor, LayerNormCache) {
         let (m, d) = (x.rows(), x.cols());
         let mut out = Tensor::zeros(&[m, d]);
         let mut xhat = Tensor::zeros(&[m, d]);
-        let mut inv_std = Vec::with_capacity(m);
-        let g = self.gamma.value.data();
-        let b = self.beta.value.data();
-        for i in 0..m {
-            let row = x.row(i);
-            let mean = row.iter().sum::<f32>() / d as f32;
-            let var = row.iter().map(|&v| (v - mean) * (v - mean)).sum::<f32>() / d as f32;
-            let istd = 1.0 / (var + EPS).sqrt();
-            inv_std.push(istd);
-            let hrow = xhat.row_mut(i);
-            for (j, &v) in row.iter().enumerate() {
-                hrow[j] = (v - mean) * istd;
-            }
-            let orow = out.row_mut(i);
-            for j in 0..d {
-                orow[j] = xhat.get(&[i, j]) * g[j] + b[j];
-            }
-        }
+        let inv_std = (0..m)
+            .map(|i| self.norm_row(x.row(i), xhat.row_mut(i), out.row_mut(i)))
+            .collect();
         (out, LayerNormCache { xhat, inv_std })
     }
 
-    /// Inference-only forward.
+    /// Inference-only forward: [`LayerNorm::forward`]'s output, bit for
+    /// bit, without building the backward cache (one row of `x̂` scratch
+    /// instead of an `m × d` tensor).
     pub fn infer(&self, x: &Tensor) -> Tensor {
-        self.forward(x).0
+        let (m, d) = (x.rows(), x.cols());
+        let mut out = Tensor::zeros(&[m, d]);
+        let mut hrow = vec![0.0f32; d];
+        for i in 0..m {
+            self.norm_row(x.row(i), &mut hrow, out.row_mut(i));
+        }
+        out
     }
 
     /// Backward pass; returns `dx`.
@@ -130,22 +143,27 @@ impl RmsNorm {
         self.gamma.len()
     }
 
+    /// Normalizes one row into `orow` and returns `1/rms`. The one
+    /// per-row body of [`RmsNorm::forward`] and [`RmsNorm::infer`], so
+    /// both produce the same bits.
+    fn norm_row(&self, row: &[f32], orow: &mut [f32]) -> f32 {
+        let d = row.len();
+        let g = self.gamma.value.data();
+        let ms = row.iter().map(|&v| v * v).sum::<f32>() / d as f32;
+        let irms = 1.0 / (ms + EPS).sqrt();
+        for j in 0..d {
+            orow[j] = row[j] * irms * g[j];
+        }
+        irms
+    }
+
     /// Row-wise normalization `y = γ ⊙ x / rms(x)`.
     pub fn forward(&self, x: &Tensor) -> (Tensor, RmsNormCache) {
         let (m, d) = (x.rows(), x.cols());
         let mut out = Tensor::zeros(&[m, d]);
-        let mut inv_rms = Vec::with_capacity(m);
-        let g = self.gamma.value.data();
-        for i in 0..m {
-            let row = x.row(i);
-            let ms = row.iter().map(|&v| v * v).sum::<f32>() / d as f32;
-            let irms = 1.0 / (ms + EPS).sqrt();
-            inv_rms.push(irms);
-            let orow = out.row_mut(i);
-            for j in 0..d {
-                orow[j] = row[j] * irms * g[j];
-            }
-        }
+        let inv_rms = (0..m)
+            .map(|i| self.norm_row(x.row(i), out.row_mut(i)))
+            .collect();
         (
             out,
             RmsNormCache {
@@ -155,9 +173,15 @@ impl RmsNorm {
         )
     }
 
-    /// Inference-only forward.
+    /// Inference-only forward: [`RmsNorm::forward`]'s output, bit for bit,
+    /// without cloning `x` into a backward cache.
     pub fn infer(&self, x: &Tensor) -> Tensor {
-        self.forward(x).0
+        let (m, d) = (x.rows(), x.cols());
+        let mut out = Tensor::zeros(&[m, d]);
+        for i in 0..m {
+            self.norm_row(x.row(i), out.row_mut(i));
+        }
+        out
     }
 
     /// Backward pass; returns `dx`.
@@ -312,6 +336,31 @@ mod tests {
             rm.gamma.value.data_mut()[j] -= h;
             let fd = (rp.forward(&x).0.dot(&dy) - rm.forward(&x).0.dot(&dy)) / (2.0 * h);
             assert!((rn.gamma.grad.data()[j] - fd).abs() < 1e-2, "dgamma[{j}]");
+        }
+    }
+
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.data().iter().map(|v| v.to_bits()).collect()
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn infer_is_bit_identical_to_forward(
+            m in 1usize..9,
+            d in 1usize..40,
+            scale_pick in 0usize..4,
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            let scale = [0.01f32, 1.0, 7.0, 50.0][scale_pick];
+            let mut rng = Rng64::new(seed);
+            let x = Tensor::randn_scaled(&[m, d], scale, &mut rng);
+            let mut rn = RmsNorm::new(d);
+            rn.gamma.value = Tensor::randn(&[d], &mut rng);
+            proptest::prop_assert_eq!(bits(&rn.infer(&x)), bits(&rn.forward(&x).0));
+            let mut ln = LayerNorm::new(d);
+            ln.gamma.value = Tensor::randn(&[d], &mut rng);
+            ln.beta.value = Tensor::randn(&[d], &mut rng);
+            proptest::prop_assert_eq!(bits(&ln.infer(&x)), bits(&ln.forward(&x).0));
         }
     }
 

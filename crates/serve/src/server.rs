@@ -7,7 +7,10 @@
 //! token (a prompt token during prefill, its own last output during
 //! generation) into one `S × d` batch and advances all of them with a
 //! single [`TransformerLm::decode_step_many`] call — one batched GEMM
-//! per weight per layer per step, instead of `S` skinny ones.
+//! per weight per layer per step, instead of `S` skinny ones. The server
+//! makes one call per step and never threads it itself: inside `lrd-nn`
+//! that call splits a tall step's sessions into contiguous groups, one
+//! per core, with logits bit-identical to the one-worker run.
 //!
 //! ## Admission control and graceful degradation
 //!
@@ -849,6 +852,43 @@ mod tests {
                 "settled set diverged at max_batch {max_batch}"
             );
             assert_eq!(bat.report.stream_checksum, seq.report.stream_checksum);
+        }
+    }
+
+    #[test]
+    fn steps_tall_enough_to_split_across_cores_match_sequential() {
+        // Everyone arrives at step 0, so the early steps carry far more
+        // than 2 × MIN_ROWS_PER_WORKER sessions and decode_step_many
+        // splits them across workers wherever the host has two cores.
+        let split_height = 2 * lrd_nn::model::MIN_ROWS_PER_WORKER;
+        let mut reqs = trace(4 * split_height);
+        for r in &mut reqs {
+            r.arrival_step = 0;
+        }
+        let model = tiny();
+        let clean = ServeConfig::default();
+        let chaos = ServeConfig {
+            faults: chaos_plan(0.1, 0.05, 0.1),
+            deadline_steps: 2 * STALL_STEPS,
+            ..clean
+        };
+        for cfg in [clean, chaos] {
+            let bat = serve(&model, &reqs, &cfg, "bat");
+            let seq = serve_sequential(&model, &reqs, &cfg, "seq");
+            assert!(
+                bat.report.mean_batch >= split_height as f64,
+                "mean batch {} never reached the split height {split_height}",
+                bat.report.mean_batch
+            );
+            assert_eq!(bat.report.stream_checksum, seq.report.stream_checksum);
+            let (mut a, mut b) = (bat.completions.clone(), seq.completions.clone());
+            a.sort_by_key(|c| c.id);
+            b.sort_by_key(|c| c.id);
+            assert_eq!(a, b);
+            let (mut a, mut b) = (bat.settled.clone(), seq.settled.clone());
+            a.sort_by_key(|s| s.id);
+            b.sort_by_key(|s| s.id);
+            assert_eq!(a, b);
         }
     }
 

@@ -53,10 +53,36 @@ pub fn thread_limit() -> usize {
     THREAD_LIMIT.load(Ordering::Relaxed)
 }
 
+/// The process-wide thread budget: the host's available parallelism (not
+/// a hardcoded constant, so many-core machines aren't silently
+/// throttled), further capped by [`set_thread_limit`]. Always ≥ 1.
+///
+/// Every row-splitting parallel loop in the workspace sizes itself from
+/// this one function — the GEMM engine here and `lrd-nn`'s batched
+/// decode step — so a sweep executor's `set_thread_limit(1)` caps all of
+/// them at once. The host figure is read once per process: on Linux
+/// `available_parallelism` reads the affinity mask and cgroup quota
+/// files, about 20 µs a call, which every decode step would otherwise
+/// pay.
+pub fn thread_budget() -> usize {
+    static HOST: OnceLock<usize> = OnceLock::new();
+    let hw = *HOST.get_or_init(|| {
+        // lrd-lint: allow(determinism, "callers only band independent output rows; each f32 cell is produced by exactly one worker, so results are bit-identical at any width")
+        std::thread::available_parallelism()
+            .map(std::num::NonZero::get)
+            .unwrap_or(1)
+    });
+    let limit = thread_limit();
+    if limit == 0 {
+        hw
+    } else {
+        hw.min(limit)
+    }
+}
+
 /// Number of worker threads to use for a problem of `macs` multiply-adds
-/// split across `rows` independent bands. The ceiling is the host's
-/// available parallelism (not a hardcoded constant, so many-core machines
-/// aren't silently throttled), further capped by [`set_thread_limit`].
+/// split across `rows` independent bands: the [`thread_budget`], at most
+/// one per band.
 fn thread_count(macs: usize, rows: usize) -> usize {
     thread_count_with(PARALLEL_THRESHOLD, macs, rows)
 }
@@ -68,13 +94,7 @@ fn thread_count_with(threshold: usize, macs: usize, rows: usize) -> usize {
     if macs < threshold {
         return 1;
     }
-    // lrd-lint: allow(determinism, "thread count only bands independent output rows; each f32 cell is produced by exactly one worker, so results are bit-identical at any width")
-    let hw = std::thread::available_parallelism()
-        .map(std::num::NonZero::get)
-        .unwrap_or(1);
-    let limit = thread_limit();
-    let cap = if limit == 0 { hw } else { limit };
-    hw.min(cap).min(rows).max(1)
+    thread_budget().min(rows).max(1)
 }
 
 /// Reusable packing buffers for the blocked engine. One scratch lives per
